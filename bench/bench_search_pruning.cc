@@ -155,7 +155,11 @@ void BM_CallGraphExtraction(benchmark::State& state) {
   sim::SimulationConfig cfg;
   cfg.seed = baseline_exp.seed;
   sim::Simulation sim(cfg);
-  auto result = campaign::CampaignRunner::run_in(baseline_exp, &sim, false);
+  campaign::ExecOptions exec;  // full run, log kept for the call graph
+  exec.keep_latencies = false;
+  exec.early_exit = false;
+  exec.preserve_log = true;
+  auto result = campaign::CampaignRunner::run_in(baseline_exp, &sim, exec);
   benchmark::DoNotOptimize(result);
 
   for (auto _ : state) {

@@ -5,8 +5,7 @@
 namespace gremlin::campaign {
 
 ExecutionContext::ExecutionContext(bool warm_worlds)
-    : scratch_rng_(Rng(0x9e3779b97f4a7c15ull).fork("execution-context")),
-      warm_enabled_(warm_worlds) {}
+    : warm_enabled_(warm_worlds) {}
 
 ExecutionContext::~ExecutionContext() {
   // Worlds hold Symbols minted by this shard; tear them down before the

@@ -16,9 +16,6 @@
 //   - a sim::EventPool: one slab pool lent to every warm world the worker
 //     drives (worlds run one at a time, so they can share a free list).
 //   - the worker's warm-world pool, keyed by AppSpec identity.
-//   - a scratch Rng forked off the context for any non-semantic decisions
-//     a scheduler may need (never consulted by experiment execution, which
-//     derives all randomness from the experiment seed).
 //
 // Workers therefore share nothing but the work queue and the final merge:
 // CampaignRunner binds one context per worker (ScopedShardSymbols routes
@@ -37,7 +34,6 @@
 #include "campaign/runner.h"
 #include "common/arena.h"
 #include "common/intern.h"
-#include "common/rng.h"
 #include "sim/event_queue.h"
 
 namespace gremlin::campaign {
@@ -70,10 +66,6 @@ class ExecutionContext {
   void merge() { symbols_.merge(); }
 
   ShardSymbolTable& symbols() { return symbols_; }
-  MemoryPool& memory() { return memory_; }
-  sim::EventPool& event_pool() { return event_pool_; }
-  Rng& scratch_rng() { return scratch_rng_; }
-  size_t world_count() const { return worlds_.size(); }
 
  private:
   // Bound on live deployments per worker: campaigns normally sweep one app,
@@ -84,7 +76,6 @@ class ExecutionContext {
   ShardSymbolTable symbols_;
   MemoryPool memory_;
   sim::EventPool event_pool_;
-  Rng scratch_rng_;
   bool warm_enabled_;
   std::vector<std::unique_ptr<WarmWorld>> worlds_;
 };

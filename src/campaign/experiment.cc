@@ -247,30 +247,24 @@ std::vector<Experiment> expand_axes(std::vector<Experiment> base,
 
 }  // namespace
 
+std::string load_target(const topology::AppGraph& graph,
+                        const std::string& client, const std::string& target,
+                        const std::set<std::string>& exclude) {
+  if (!target.empty()) return target;
+  for (const auto& entry : graph.entry_points()) {
+    if (exclude.count(entry) == 0 && entry != client) return entry;
+  }
+  for (const auto& edge : graph.edges()) {
+    if (edge.src == client) return edge.dst;
+  }
+  return {};
+}
+
 std::vector<Experiment> generate_sweep(const AppSpec& app,
                                        const topology::AppGraph& graph,
                                        const SweepOptions& options) {
-  std::string target = options.target;
-  if (target.empty()) {
-    // Load the entry point the graph exposes; skip excluded pseudo-services
-    // (the edge client itself has no callers either).
-    for (const auto& entry : graph.entry_points()) {
-      if (options.exclude.count(entry) == 0 && entry != options.client) {
-        target = entry;
-        break;
-      }
-    }
-    if (target.empty()) {
-      // The client is usually the graph's only root ("user" -> svc0):
-      // load the front door it calls.
-      for (const auto& edge : graph.edges()) {
-        if (edge.src == options.client) {
-          target = edge.dst;
-          break;
-        }
-      }
-    }
-  }
+  const std::string target =
+      load_target(graph, options.client, options.target, options.exclude);
 
   std::vector<CheckSpec> checks = options.checks;
   if (checks.empty()) checks.push_back(CheckSpec::max_user_failures(0));

@@ -156,6 +156,16 @@ struct SweepOptions {
   std::vector<Window> windows;
 };
 
+// The service an experiment's load drives: `target` when set, else the
+// first entry point of `graph` that is neither in `exclude` nor the client,
+// else the front door the client calls (the client is usually the graph's
+// only root, "user" -> svc0). Empty when the graph offers none. The sweep
+// generator, both execution paths and the fault-space search all resolve
+// their load target here.
+std::string load_target(const topology::AppGraph& graph,
+                        const std::string& client, const std::string& target,
+                        const std::set<std::string>& exclude = {});
+
 // Enumerates one experiment per (edge|service) × kind over `graph`
 // (which must be the spec's logical graph, e.g. app.probe_graph()).
 std::vector<Experiment> generate_sweep(const AppSpec& app,

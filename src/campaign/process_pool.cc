@@ -28,20 +28,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Shared-memory lease protocol.
 
-struct Range {
-  uint64_t begin = 0;
-  uint64_t end = 0;  // half-open
-};
-
 // Ranges a dead worker claimed but never delivered wait here for a
 // survivor. Sized far beyond any realistic crash count — overflow falls
 // back to parent-inline execution.
 constexpr uint32_t kRecoverySlots = 256;
-
-// Lease chunk ceiling: even the first leases stay small enough that a
-// crash re-queues bounded work and the tail degenerates to single
-// experiments (work-stealing semantics: whoever is fast drains it).
-constexpr uint64_t kMaxChunk = 64;
 
 // One anonymous MAP_SHARED page, mapped before fork, visible to parent and
 // every worker. The cursor is the whole steady-state protocol: a lease is
@@ -53,7 +43,7 @@ struct SharedControl {
   uint32_t ring_count = 0;
   uint64_t total = 0;
   uint32_t workers = 1;  // procs × threads, for chunk sizing
-  Range ring[kRecoverySlots];
+  IndexRange ring[kRecoverySlots];
 };
 
 static_assert(std::atomic<uint64_t>::is_always_lock_free,
@@ -75,7 +65,7 @@ class RingLock {
   SharedControl* ctl_;
 };
 
-bool ring_pop(SharedControl* ctl, Range* out) {
+bool ring_pop(SharedControl* ctl, IndexRange* out) {
   if (ctl->ring_count == 0) return false;  // racy fast-path peek
   RingLock lock(ctl);
   if (ctl->ring_count == 0) return false;
@@ -84,7 +74,7 @@ bool ring_pop(SharedControl* ctl, Range* out) {
 }
 
 // Pushes as many of the n ranges as fit; returns how many were taken.
-size_t ring_push(SharedControl* ctl, const Range* ranges, size_t n) {
+size_t ring_push(SharedControl* ctl, const IndexRange* ranges, size_t n) {
   RingLock lock(ctl);
   size_t pushed = 0;
   while (pushed < n && ctl->ring_count < kRecoverySlots) {
@@ -93,34 +83,22 @@ size_t ring_push(SharedControl* ctl, const Range* ranges, size_t n) {
   return pushed;
 }
 
-std::vector<Range> ring_ranges(SharedControl* ctl) {
+std::vector<IndexRange> ring_ranges(SharedControl* ctl) {
   RingLock lock(ctl);
-  return std::vector<Range>(ctl->ring, ctl->ring + ctl->ring_count);
+  return std::vector<IndexRange>(ctl->ring, ctl->ring + ctl->ring_count);
 }
 
 // Claims the next lease: recovery ranges first (a re-queued dead shard
-// beats fresh tail work), then a cursor chunk sized to the remaining work
-// per live execution thread. Blocks polling the ring once the cursor is
-// drained — the parent may still re-queue a crashed sibling's lease — and
-// returns false only when the parent raises the done flag.
-bool claim_lease(SharedControl* ctl, Range* out) {
+// beats fresh tail work), then a cursor chunk (claim_chunk). Blocks polling
+// the ring once the cursor is drained — the parent may still re-queue a
+// crashed sibling's lease — and returns false only when the parent raises
+// the done flag.
+bool claim_lease(SharedControl* ctl, IndexRange* out) {
   for (;;) {
     if (ring_pop(ctl, out)) return true;
-    uint64_t cur = ctl->cursor.load(std::memory_order_relaxed);
-    if (cur >= ctl->total) {
-      if (ctl->done.load(std::memory_order_acquire) != 0) return false;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      continue;
-    }
-    const uint64_t remaining = ctl->total - cur;
-    const uint64_t chunk = std::clamp<uint64_t>(
-        remaining / (static_cast<uint64_t>(ctl->workers) * 4), 1, kMaxChunk);
-    if (ctl->cursor.compare_exchange_weak(cur, cur + chunk,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-      *out = Range{cur, cur + chunk};
-      return true;
-    }
+    if (claim_chunk(&ctl->cursor, ctl->total, ctl->workers, out)) return true;
+    if (ctl->done.load(std::memory_order_acquire) != 0) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 }
 
@@ -162,7 +140,7 @@ bool send_frame(WorkerShared* ws, const std::string& payload) {
 void worker_thread_loop(WorkerShared* ws) {
   ExecutionContext ctx(ws->warm_worlds);
   ScopedShardSymbols bind_symbols(&ctx.symbols());
-  Range lease;
+  IndexRange lease;
   while (claim_lease(ws->ctl, &lease)) {
     {
       wire::Writer w;
@@ -213,10 +191,10 @@ struct WorkerState {
   int fd = -1;
   bool alive = false;
   wire::FrameBuffer frames;
-  std::vector<Range> announced;  // leases this worker committed to
+  std::vector<IndexRange> announced;  // leases this worker committed to
 };
 
-void mark_covered(std::vector<uint8_t>* covered, const Range& r) {
+void mark_covered(std::vector<uint8_t>* covered, const IndexRange& r) {
   const uint64_t end = std::min<uint64_t>(r.end, covered->size());
   for (uint64_t i = std::min<uint64_t>(r.begin, end); i < end; ++i) {
     (*covered)[i] = 1;
@@ -224,19 +202,36 @@ void mark_covered(std::vector<uint8_t>* covered, const Range& r) {
 }
 
 // Coalesces ascending indices into maximal contiguous ranges.
-std::vector<Range> to_ranges(const std::vector<uint64_t>& indices) {
-  std::vector<Range> out;
+std::vector<IndexRange> to_ranges(const std::vector<uint64_t>& indices) {
+  std::vector<IndexRange> out;
   for (const uint64_t i : indices) {
     if (!out.empty() && out.back().end == i) {
       ++out.back().end;
     } else {
-      out.push_back(Range{i, i + 1});
+      out.push_back(IndexRange{i, i + 1});
     }
   }
   return out;
 }
 
 }  // namespace
+
+bool claim_chunk(std::atomic<uint64_t>* cursor, uint64_t total,
+                 uint64_t workers, IndexRange* out) {
+  constexpr uint64_t kMaxChunk = 64;
+  uint64_t cur = cursor->load(std::memory_order_relaxed);
+  while (cur < total) {
+    const uint64_t chunk =
+        std::clamp<uint64_t>((total - cur) / (workers * 4), 1, kMaxChunk);
+    if (cursor->compare_exchange_weak(cur, cur + chunk,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+      *out = IndexRange{cur, cur + chunk};
+      return true;
+    }
+  }
+  return false;
+}
 
 bool multiproc_available() { return true; }
 
@@ -351,7 +346,7 @@ CampaignResult run_multiproc(const std::vector<Experiment>& experiments,
     wire::Reader r(payload);
     const uint8_t type = r.u8();
     if (type == kLeaseFrame) {
-      Range lease;
+      IndexRange lease;
       lease.begin = r.u64();
       lease.end = r.u64();
       if (r.ok()) w->announced.push_back(lease);
@@ -381,15 +376,15 @@ CampaignResult run_multiproc(const std::vector<Experiment>& experiments,
     std::vector<uint8_t> covered(n, 0);
     for (const auto& w : workers) {
       if (!w.alive) continue;
-      for (const Range& r : w.announced) mark_covered(&covered, r);
+      for (const IndexRange& r : w.announced) mark_covered(&covered, r);
     }
-    for (const Range& r : ring_ranges(ctl)) mark_covered(&covered, r);
+    for (const IndexRange& r : ring_ranges(ctl)) mark_covered(&covered, r);
     std::vector<uint64_t> lost;
     for (uint64_t i = 0; i < cursor; ++i) {
       if (!delivered[i] && !covered[i]) lost.push_back(i);
     }
     if (lost.empty()) return;
-    const std::vector<Range> ranges = to_ranges(lost);
+    const std::vector<IndexRange> ranges = to_ranges(lost);
     size_t pushed = 0;
     if (alive > 0) {
       pushed = ring_push(ctl, ranges.data(), ranges.size());

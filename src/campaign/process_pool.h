@@ -35,12 +35,29 @@
 // shard-local Symbol ids never leak between processes.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "campaign/runner.h"
 
 namespace gremlin::campaign {
+
+// A half-open range of experiment indices.
+struct IndexRange {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+};
+
+// The lease rule every campaign worker claims work with, in-process thread
+// or forked shard: the next chunk of [0, total) off `cursor`, sized
+// remaining / (workers × 4) and clamped to [1, 64]. Early chunks amortize
+// the claim; the tail degenerates to single experiments that whoever is
+// fast drains, and a crashed shard re-queues bounded work. False once the
+// cursor is drained.
+bool claim_chunk(std::atomic<uint64_t>* cursor, uint64_t total,
+                 uint64_t workers, IndexRange* out);
 
 // Test-only knobs for the crash-recovery path.
 struct MultiprocHooks {

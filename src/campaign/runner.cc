@@ -1,8 +1,8 @@
 #include "campaign/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -125,26 +125,6 @@ int CampaignRunner::resolved_threads() const {
 }
 
 ExperimentResult CampaignRunner::run_one(const Experiment& experiment,
-                                         bool keep_latencies) {
-  ExecOptions exec;
-  exec.keep_latencies = keep_latencies;
-  return run_one(experiment, exec);
-}
-
-ExperimentResult CampaignRunner::run_in(const Experiment& experiment,
-                                        sim::Simulation* sim,
-                                        bool keep_latencies) {
-  // Kept-alive callers predate online checking and read sim->log_store()
-  // after the run (call-graph extraction, the pruner baseline): run to
-  // quiescence with the full log retained.
-  ExecOptions exec;
-  exec.keep_latencies = keep_latencies;
-  exec.early_exit = false;
-  exec.preserve_log = true;
-  return run_in(experiment, sim, exec);
-}
-
-ExperimentResult CampaignRunner::run_one(const Experiment& experiment,
                                          const ExecOptions& exec) {
   // A fully private deployment: clock, RNG, log store, services, agents.
   sim::SimulationConfig cfg;
@@ -161,7 +141,7 @@ ExperimentResult CampaignRunner::run_in(const Experiment& experiment,
 }
 
 ExperimentResult CampaignRunner::run_prepared(const Experiment& experiment,
-                                              sim::Simulation* sim_ptr,
+                                              sim::Simulation* sim,
                                               const topology::AppGraph* graph,
                                               control::RuleCache* rule_cache,
                                               const ExecOptions& exec) {
@@ -169,13 +149,12 @@ ExperimentResult CampaignRunner::run_prepared(const Experiment& experiment,
   result.id = experiment.id;
   result.seed = experiment.seed;
 
-  sim::Simulation& sim = *sim_ptr;
   topology::AppGraph local_graph;
   if (graph == nullptr) {
-    local_graph = experiment.app.instantiate(&sim);
+    local_graph = experiment.app.instantiate(sim);
     graph = &local_graph;
   }
-  control::TestSession session(&sim, graph);
+  control::TestSession session(sim, graph);
 
   if (experiment.custom) {
     result.checks = experiment.custom(&session);
@@ -186,41 +165,36 @@ ExperimentResult CampaignRunner::run_prepared(const Experiment& experiment,
     return result;
   }
 
-  for (const auto& spec : experiment.failures) {
-    auto installed = session.apply(spec, rule_cache);
-    if (!installed.ok()) {
-      result.error = "apply " + std::string(spec.kind_name()) + ": " +
-                     installed.error().message;
-      return result;
-    }
-    result.rules_installed += installed.value();
+  if (!ExperimentBody::apply_failures(experiment, &session, rule_cache,
+                                      &result)) {
+    return result;
   }
-
-  std::string target = experiment.target;
-  if (target.empty()) {
-    for (const auto& entry : graph->entry_points()) {
-      if (entry != experiment.client) {
-        target = entry;
-        break;
-      }
-    }
-  }
-  if (target.empty()) {
-    // The client is usually the graph's only root ("user" -> svc0): load
-    // the front door it calls.
-    for (const auto& edge : graph->edges()) {
-      if (edge.src == experiment.client) {
-        target = edge.dst;
-        break;
-      }
-    }
-  }
+  const std::string target =
+      load_target(*graph, experiment.client, experiment.target);
   if (target.empty()) {
     result.error = "no load target: graph has no entry point";
     return result;
   }
 
-  // --- online checker pipeline ---------------------------------------
+  ExperimentBody body(experiment, graph, exec);
+  return body.run(
+      std::move(result), &session,
+      [&session, &experiment, &target](
+          control::SimStreamCollector* collector,
+          std::function<void(bool failed)> on_response) {
+        session.set_response_observer(std::move(on_response));
+        if (collector != nullptr) collector->start();
+        control::LoadResult load =
+            session.run_load(experiment.client, target, experiment.load);
+        session.set_response_observer(nullptr);
+        return load;
+      });
+}
+
+ExperimentBody::ExperimentBody(const Experiment& experiment,
+                               const topology::AppGraph* graph,
+                               const ExecOptions& exec)
+    : experiment_(experiment), exec_(exec) {
   // One incremental state machine per declarative check, fed every log
   // record the moment it is appended (plus every user-visible response).
   // Verdicts are sticky; once all of them are final the remaining
@@ -228,15 +202,35 @@ ExperimentResult CampaignRunner::run_prepared(const Experiment& experiment,
   // with no incremental form (FailureContained) disables the whole online
   // path for this experiment: the run falls back to the untouched post-hoc
   // flow, byte-identical to early_exit=false.
-  control::OnlineChecker online;
-  bool use_online = exec.early_exit && !experiment.checks.empty();
-  if (use_online) {
-    for (const auto& spec : experiment.checks) {
-      online.add(spec.incremental(graph, experiment.load.count));
-    }
-    if (!online.all_incremental()) use_online = false;
+  use_online_ = exec.early_exit && !experiment.checks.empty();
+  if (!use_online_) return;
+  for (const auto& spec : experiment.checks) {
+    online_.add(spec.incremental(graph, experiment.load.count));
   }
-  const bool wants_records = use_online && online.wants_records();
+  if (!online_.all_incremental()) use_online_ = false;
+}
+
+bool ExperimentBody::apply_failures(const Experiment& experiment,
+                                    control::TestSession* session,
+                                    control::RuleCache* rule_cache,
+                                    ExperimentResult* result) {
+  for (const auto& spec : experiment.failures) {
+    auto installed = session->apply(spec, rule_cache);
+    if (!installed.ok()) {
+      result->error = "apply " + std::string(spec.kind_name()) + ": " +
+                      installed.error().message;
+      return false;
+    }
+    result->rules_installed += installed.value();
+  }
+  return true;
+}
+
+ExperimentResult ExperimentBody::run(ExperimentResult result,
+                                     control::TestSession* session,
+                                     const Drive& drive) {
+  sim::Simulation& sim = session->sim();
+  const bool wants_records = use_online_ && online_.wants_records();
   // Load-only check sets that also skip the post-hoc collect never read a
   // single record. Rather than buffering ~1k records per run in the
   // sidecars and draining them onto the floor, switch observation capture
@@ -245,51 +239,49 @@ ExperimentResult CampaignRunner::run_prepared(const Experiment& experiment,
   // results stay byte-identical (the records never reached a fingerprint
   // in this mode anyway).
   const bool suppress_records =
-      use_online && !exec.preserve_log && !wants_records;
+      use_online_ && !exec_.preserve_log && !wants_records;
   const bool bounded =
-      wants_records && !exec.preserve_log && exec.retention_limit > 0;
-  const bool stream = wants_records;
+      wants_records && !exec_.preserve_log && exec_.retention_limit > 0;
 
+  // Record-consuming checks need the stream shipped into the store (the
+  // append observer feeds them).
   std::optional<control::SimStreamCollector> collector;
-  if (stream) {
-    // Record-consuming checks need the stream shipped into the store (the
-    // append observer feeds them).
+  if (wants_records) {
     collector.emplace(&sim, control::SimStreamCollector::Mode::kAppendToStore,
-                      exec.stream_interval);
+                      exec_.stream_interval);
   }
   if (suppress_records) sim.set_recording(false);
   if (wants_records) {
-    sim.log_store().set_observer([&online, &sim](
-                                     const logstore::LogRecord& record) {
-      online.offer(record);
-      if (online.all_decided()) sim.request_stop();
-    });
-    if (bounded) sim.log_store().set_retention_limit(exec.retention_limit);
+    sim.log_store().set_observer(
+        [this, &sim](const logstore::LogRecord& record) {
+          online_.offer(record);
+          if (online_.all_decided()) sim.request_stop();
+        });
+    if (bounded) sim.log_store().set_retention_limit(exec_.retention_limit);
   }
-  if (use_online) {
-    session.set_response_observer([&online, &sim](bool failed) {
-      online.on_user_response(failed);
-      if (online.all_decided()) sim.request_stop();
-    });
-    if (stream) collector->start();
+  std::function<void(bool failed)> on_response;
+  if (use_online_) {
+    on_response = [this, &sim](bool failed) {
+      online_.on_user_response(failed);
+      if (online_.all_decided()) sim.request_stop();
+    };
   }
 
   const control::LoadResult load =
-      session.run_load(experiment.client, target, experiment.load);
+      drive(collector ? &*collector : nullptr, std::move(on_response));
   result.requests = load.total();
   result.failures = load.failures;
   result.early_terminated = load.stopped_early;
-  if (exec.keep_latencies) {
+  if (exec_.keep_latencies) {
     result.latencies = load.latencies;
     result.statuses = load.statuses;
   }
 
-  if (stream) collector->drain_now();  // final flush feeds the checks' tail
+  if (collector) collector->drain_now();  // final flush feeds the checks' tail
   if (wants_records) {
     sim.log_store().set_observer(nullptr);
     sim.log_store().set_retention_limit(0);
   }
-  session.set_response_observer(nullptr);
   if (suppress_records) sim.set_recording(true);
   // Drop whatever an early stop left on the timeline (and the collector's
   // pending drain), so a kept-alive sim is clean for its next run.
@@ -297,25 +289,25 @@ ExperimentResult CampaignRunner::run_prepared(const Experiment& experiment,
 
   // When every check already consumed the stream online and nobody needs
   // the log afterwards, the post-hoc collect is pure overhead — skip it.
-  const bool skip_collect = use_online && !exec.preserve_log;
+  const bool skip_collect = use_online_ && !exec_.preserve_log;
   if (!skip_collect) {
-    auto collected = session.collect();
+    auto collected = session->collect();
     if (!collected.ok()) {
       result.error = "collect: " + collected.error().message;
       return result;
     }
   }
 
-  if (use_online) {
+  if (use_online_) {
     const control::LoadSummary summary{load.total(), load.failures};
-    for (size_t i = 0; i < online.size(); ++i) {
-      control::CheckResult outcome = online.check(i)->finalize(summary);
+    for (size_t i = 0; i < online_.size(); ++i) {
+      control::CheckResult outcome = online_.check(i)->finalize(summary);
       if (outcome.passed) ++result.checks_passed;
       result.checks.push_back(std::move(outcome));
     }
   } else {
-    const control::AssertionChecker checker = session.checker();
-    for (const auto& check : experiment.checks) {
+    const control::AssertionChecker checker = session->checker();
+    for (const auto& check : experiment_.checks) {
       control::CheckResult outcome = check.evaluate(checker, load);
       if (outcome.passed) ++result.checks_passed;
       result.checks.push_back(std::move(outcome));
@@ -329,7 +321,7 @@ CampaignResult CampaignRunner::run(
     const std::vector<Experiment>& experiments) const {
   // Multi-process sharding: fork worker processes and merge their streamed
   // results in experiment order (campaign/process_pool). Byte-identical to
-  // the in-process paths below; a batch of one experiment gains nothing
+  // the in-process path below; a batch of one experiment gains nothing
   // from a fork, so it stays in-process.
   if (options_.procs > 1 && experiments.size() > 1 && multiproc_available()) {
     return run_multiproc(experiments, options_);
@@ -351,83 +343,34 @@ CampaignResult CampaignRunner::run(
   exec.use_snapshots = options_.use_snapshots;
 
   std::mutex result_mu;  // guards options_.on_result only
-  auto finish = [&](ExperimentResult&& r, size_t index) {
-    campaign.experiments[index] = std::move(r);
-    if (options_.on_result) {
-      std::lock_guard lock(result_mu);
-      options_.on_result(campaign.experiments[index]);
+  std::atomic<uint64_t> cursor{0};
+  auto worker = [&]() {
+    // Worker-private execution context: warm worlds, symbol shard, and
+    // allocation pools, none of it shared. Determinism is unaffected
+    // because a reset world is byte-equivalent to a fresh one and
+    // fingerprints carry no Symbol ids. Each result is written to a
+    // distinct slot of the pre-sized vector.
+    ExecutionContext ctx(options_.warm_worlds);
+    ScopedShardSymbols bind_symbols(&ctx.symbols());
+    IndexRange lease;
+    while (claim_chunk(&cursor, n, static_cast<uint64_t>(threads), &lease)) {
+      for (uint64_t i = lease.begin; i < lease.end; ++i) {
+        campaign.experiments[i] = ctx.execute(experiments[i], exec);
+        ctx.merge();  // result boundary: publish new names, usually empty
+        if (options_.on_result) {
+          std::lock_guard lock(result_mu);
+          options_.on_result(campaign.experiments[i]);
+        }
+      }
     }
   };
 
   if (threads <= 1) {
-    // The inline worker gets the same per-worker context the parallel path
-    // uses (shard interning, pooled allocation, shared event pool), so the
-    // two paths execute byte-identically by construction.
-    ExecutionContext ctx(options_.warm_worlds);
-    ScopedShardSymbols bind_symbols(&ctx.symbols());
-    for (size_t i = 0; i < n; ++i) {
-      finish(ctx.execute(experiments[i], exec), i);
-      ctx.merge();  // result boundary: publish new names, usually empty
-    }
+    worker();
   } else {
-    // Work-stealing pool: per-worker deques seeded with a strided share of
-    // the index space; an idle worker pops from its own front, then steals
-    // from the back of the fullest peer. Each result is written to a
-    // distinct slot of the pre-sized vector, so workers share no mutable
-    // experiment state.
-    struct WorkerQueue {
-      std::mutex mu;
-      std::deque<size_t> tasks;
-    };
-    std::vector<WorkerQueue> queues(static_cast<size_t>(threads));
-    for (size_t i = 0; i < n; ++i) {
-      queues[i % static_cast<size_t>(threads)].tasks.push_back(i);
-    }
-
-    auto worker = [&](size_t self) {
-      // Worker-private execution context: warm worlds, symbol shard, and
-      // allocation pools, none of it shared. Determinism is unaffected
-      // because a reset world is byte-equivalent to a fresh one and
-      // fingerprints carry no Symbol ids.
-      ExecutionContext ctx(options_.warm_worlds);
-      ScopedShardSymbols bind_symbols(&ctx.symbols());
-      for (;;) {
-        size_t index = n;  // sentinel: nothing claimed
-        {
-          std::lock_guard lock(queues[self].mu);
-          if (!queues[self].tasks.empty()) {
-            index = queues[self].tasks.front();
-            queues[self].tasks.pop_front();
-          }
-        }
-        if (index == n) {
-          // Own deque empty: steal from the peer with the most work left.
-          size_t victim = queues.size();
-          size_t victim_depth = 0;
-          for (size_t q = 0; q < queues.size(); ++q) {
-            if (q == self) continue;
-            std::lock_guard lock(queues[q].mu);
-            if (queues[q].tasks.size() > victim_depth) {
-              victim_depth = queues[q].tasks.size();
-              victim = q;
-            }
-          }
-          if (victim == queues.size()) return;  // everything drained
-          std::lock_guard lock(queues[victim].mu);
-          if (queues[victim].tasks.empty()) continue;  // raced; rescan
-          index = queues[victim].tasks.back();
-          queues[victim].tasks.pop_back();
-        }
-        finish(ctx.execute(experiments[index], exec), index);
-        ctx.merge();  // result boundary: publish new names, usually empty
-      }
-    };
-
     std::vector<std::thread> pool;
     pool.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(worker, static_cast<size_t>(t));
-    }
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
 

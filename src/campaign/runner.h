@@ -1,12 +1,14 @@
 // CampaignRunner: executes a batch of Experiments in parallel.
 //
-// Each worker thread owns everything an experiment touches — a private
-// Simulation (with its own virtual clock, RNG, LogStore and deployment) is
-// constructed per experiment, so workers share no mutable state and need no
-// locks on the hot path. Work distribution is a work-stealing pool: every
-// worker starts with a strided share of the experiment list and steals from
-// the busiest peer when its own deque drains, so a handful of slow
-// experiments (e.g. hour-long Hang horizons) cannot idle the other cores.
+// Each worker thread binds a private ExecutionContext (warm worlds, symbol
+// shard, pools; campaign/execution_context.h), so workers share no mutable
+// experiment state and need no locks on the hot path. Experiments run on
+// the context's warm world for their app (deep-reset between runs,
+// campaign/warm_world.h) or, for custom and non-reusable specs, on a fresh
+// private Simulation. Workers claim contiguous index ranges off one atomic
+// cursor with the same adaptive chunk rule forked shards lease with
+// (claim_chunk, campaign/process_pool.h), so a handful of slow experiments
+// (e.g. hour-long Hang horizons) cannot idle the other cores.
 //
 // Determinism contract: experiment results depend only on (app spec,
 // failure specs, load, checks, seed) — never on thread count, scheduling
@@ -19,9 +21,11 @@
 #include <vector>
 
 #include "campaign/experiment.h"
+#include "common/inline_function.h"
 
 namespace gremlin::control {
 class RuleCache;
+class SimStreamCollector;
 }
 
 namespace gremlin::campaign {
@@ -190,7 +194,7 @@ class CampaignRunner {
   // Executes one experiment on a fresh private Simulation. Pure apart from
   // the simulation it builds and discards; safe to call concurrently.
   static ExperimentResult run_one(const Experiment& experiment,
-                                  const ExecOptions& exec);
+                                  const ExecOptions& exec = {});
 
   // As run_one, but on a caller-provided Simulation, which must be freshly
   // constructed with the experiment's seed. Lets callers keep the deployment
@@ -213,21 +217,59 @@ class CampaignRunner {
                                        control::RuleCache* rule_cache,
                                        const ExecOptions& exec);
 
-  // Legacy single-flag forms. run_one keeps the online defaults; run_in
-  // runs to quiescence and preserves the log, because its callers read
-  // sim->log_store() after the run.
-  static ExperimentResult run_one(const Experiment& experiment,
-                                  bool keep_latencies = true);
-  static ExperimentResult run_in(const Experiment& experiment,
-                                 sim::Simulation* sim,
-                                 bool keep_latencies = true);
-
   int resolved_threads() const;
 
   const RunnerOptions& options() const { return options_; }
 
  private:
   RunnerOptions options_;
+};
+
+// The experiment body both execution paths share: run_prepared and the
+// prefix-snapshot path (campaign/snapshot_exec.h). It owns the online
+// checker, the record-capture and retention flags, the log and response
+// observers, the final drain and teardown, the collect and the verdicts;
+// each path keeps only how it installs faults and drives the load.
+// Internal: callers want CampaignRunner::run_one or WarmWorld::run.
+class ExperimentBody {
+ public:
+  // Drives the load to completion: gets the streaming collector (null
+  // unless the checks consume records) and the response observer (empty
+  // unless the run checks online), detaches the observer once the
+  // simulation stops, and returns the load's outcome.
+  using Drive = InlineFunction<control::LoadResult(
+      control::SimStreamCollector* collector,
+      std::function<void(bool failed)> on_response)>;
+
+  // Builds the online checker when `exec` asks for early exit and every
+  // check of `experiment` has an incremental form.
+  ExperimentBody(const Experiment& experiment,
+                 const topology::AppGraph* graph, const ExecOptions& exec);
+
+  // run() installs observers that point at this object.
+  ExperimentBody(const ExperimentBody&) = delete;
+  ExperimentBody& operator=(const ExperimentBody&) = delete;
+
+  // The online checker, or null when the run checks post hoc.
+  control::OnlineChecker* online() { return use_online_ ? &online_ : nullptr; }
+
+  // Wires the observers around `drive`, then drains, tears down, collects
+  // and checks. `result` arrives with id, seed and installed rules set.
+  ExperimentResult run(ExperimentResult result, control::TestSession* session,
+                       const Drive& drive);
+
+  // Installs `experiment`'s failures through `session`, counting the rules
+  // into `result`; false (with result->error set) when one cannot apply.
+  static bool apply_failures(const Experiment& experiment,
+                             control::TestSession* session,
+                             control::RuleCache* rule_cache,
+                             ExperimentResult* result);
+
+ private:
+  const Experiment& experiment_;
+  const ExecOptions& exec_;
+  control::OnlineChecker online_;
+  bool use_online_ = false;
 };
 
 }  // namespace gremlin::campaign

@@ -3,7 +3,6 @@
 #include <functional>
 #include <utility>
 
-#include "control/collector.h"
 #include "control/online.h"
 #include "control/recipe.h"
 
@@ -60,25 +59,10 @@ std::optional<ExperimentResult> SnapshotCache::run(
     return std::nullopt;
   }
 
-  // Resolve the load target exactly as run_prepared would; an unresolvable
-  // target degrades to the warm path, which surfaces the error identically.
-  std::string target = experiment.target;
-  if (target.empty()) {
-    for (const auto& entry : graph->entry_points()) {
-      if (entry != experiment.client) {
-        target = entry;
-        break;
-      }
-    }
-  }
-  if (target.empty()) {
-    for (const auto& edge : graph->edges()) {
-      if (edge.src == experiment.client) {
-        target = edge.dst;
-        break;
-      }
-    }
-  }
+  // An unresolvable target degrades to the warm path, which reports the
+  // error exactly as a cold run does.
+  const std::string target =
+      load_target(*graph, experiment.client, experiment.target);
   if (target.empty()) return std::nullopt;
 
   const TimePoint t_act = TimePoint{} + min_after;
@@ -142,21 +126,14 @@ std::optional<ExperimentResult> SnapshotCache::run(
   }
 
   // --- early-exit tape replay (before touching the sim) -------------------
-  control::OnlineChecker online;
-  bool use_online = exec.early_exit && !experiment.checks.empty();
-  if (use_online) {
-    for (const auto& spec : experiment.checks) {
-      online.add(spec.incremental(graph, experiment.load.count));
-    }
-    if (!online.all_incremental()) use_online = false;
-  }
-  if (use_online) {
+  ExperimentBody body(experiment, graph, exec);
+  if (control::OnlineChecker* online = body.online()) {
     // The prefix appends nothing to the store (the collector only drains
     // at the end of a run), so mid-prefix stops can only come from user
     // responses: the tape reconstructs them exactly.
     for (const bool failed : entry->response_tape) {
-      online.on_user_response(failed);
-      if (online.all_decided()) {
+      online->on_user_response(failed);
+      if (online->all_decided()) {
         // A cold run would have stopped inside the prefix; that partial
         // run cannot be reproduced from the snapshot.
         return std::nullopt;
@@ -177,107 +154,34 @@ std::optional<ExperimentResult> SnapshotCache::run(
 
   sim->restore(entry->snap);
   control::TestSession session(sim, graph);
-
   // Rules carry absolute activation offsets, and pre-window matching is
   // side-effect-free — installing them at t_snap is equivalent to
   // installing them at t=0.
-  for (const auto& spec : experiment.failures) {
-    auto installed = session.apply(spec, rule_cache);
-    if (!installed.ok()) {
-      result.error = "apply " + std::string(spec.kind_name()) + ": " +
-                     installed.error().message;
-      return result;
-    }
-    result.rules_installed += installed.value();
+  if (!ExperimentBody::apply_failures(experiment, &session, rule_cache,
+                                      &result)) {
+    return result;
   }
 
-  // Sibling result starts from the prefix's partial outcome.
-  control::LoadResult load = entry->prefix_result;
-
-  const bool wants_records = use_online && online.wants_records();
-  const bool suppress_records =
-      use_online && !exec.preserve_log && !wants_records;
-  const bool bounded =
-      wants_records && !exec.preserve_log && exec.retention_limit > 0;
-  const bool stream = wants_records;
-
-  std::optional<control::SimStreamCollector> collector;
-  if (stream) {
-    // Constructed but never start()ed: the queue is non-empty after a
-    // restore, so arming would schedule periodic drains a cold run (whose
-    // queue is empty at start()) never schedules. Only the final
-    // drain_now() below ships records — exactly the cold behaviour.
-    collector.emplace(sim, control::SimStreamCollector::Mode::kAppendToStore,
-                      exec.stream_interval);
-  }
-  if (suppress_records) sim->set_recording(false);
-  if (wants_records) {
-    sim->log_store().set_observer(
-        [&online, sim](const logstore::LogRecord& record) {
-          online.offer(record);
-          if (online.all_decided()) sim->request_stop();
-        });
-    if (bounded) sim->log_store().set_retention_limit(exec.retention_limit);
-  }
-  std::function<void(bool)> observer;
-  if (use_online) {
-    observer = [&online, sim](bool failed) {
-      online.on_user_response(failed);
-      if (online.all_decided()) sim->request_stop();
-    };
-  }
-  entry->driver->bind(&load, std::move(observer));
-
-  if (experiment.load.horizon > kDurationZero) {
-    // Absolute deadline: cold computes now() + horizon at now == 0.
-    sim->run_until(TimePoint{} + experiment.load.horizon);
-  } else {
-    sim->run();
-  }
-  load.stopped_early = sim->stop_requested();
-  result.requests = load.total();
-  result.failures = load.failures;
-  result.early_terminated = load.stopped_early;
-  if (exec.keep_latencies) {
-    result.latencies = load.latencies;
-    result.statuses = load.statuses;
-  }
-
-  if (stream) collector->drain_now();  // final flush feeds the checks' tail
-  if (wants_records) {
-    sim->log_store().set_observer(nullptr);
-    sim->log_store().set_retention_limit(0);
-  }
-  if (suppress_records) sim->set_recording(true);
-  sim->cancel_pending();
-  entry->driver->bind(nullptr, {});
-
-  const bool skip_collect = use_online && !exec.preserve_log;
-  if (!skip_collect) {
-    auto collected = session.collect();
-    if (!collected.ok()) {
-      result.error = "collect: " + collected.error().message;
-      return result;
-    }
-  }
-
-  if (use_online) {
-    const control::LoadSummary summary{load.total(), load.failures};
-    for (size_t i = 0; i < online.size(); ++i) {
-      control::CheckResult outcome = online.check(i)->finalize(summary);
-      if (outcome.passed) ++result.checks_passed;
-      result.checks.push_back(std::move(outcome));
-    }
-  } else {
-    const control::AssertionChecker checker = session.checker();
-    for (const auto& check : experiment.checks) {
-      control::CheckResult outcome = check.evaluate(checker, load);
-      if (outcome.passed) ++result.checks_passed;
-      result.checks.push_back(std::move(outcome));
-    }
-  }
-  result.ok = true;
-  return result;
+  return body.run(
+      std::move(result), &session,
+      [sim, entry, &experiment](control::SimStreamCollector* /*collector*/,
+                                std::function<void(bool failed)> on_response) {
+        // The collector is never start()ed: the queue is non-empty after a
+        // restore, so arming would schedule periodic drains a cold run
+        // (whose queue is empty at start()) never schedules. Only the
+        // final drain ships records — exactly the cold behaviour.
+        control::LoadResult load = entry->prefix_result;  // partial outcome
+        entry->driver->bind(&load, std::move(on_response));
+        if (experiment.load.horizon > kDurationZero) {
+          // Absolute deadline: cold computes now() + horizon at now == 0.
+          sim->run_until(TimePoint{} + experiment.load.horizon);
+        } else {
+          sim->run();
+        }
+        load.stopped_early = sim->stop_requested();
+        entry->driver->bind(nullptr, {});
+        return load;
+      });
 }
 
 }  // namespace gremlin::campaign

@@ -29,10 +29,17 @@
 // specs all have `after >= 1 tick` (and none is kInstanceCrash, which
 // schedules outage events at apply time — before the prefix would be
 // sharable). Everything else returns nullopt and degrades gracefully to
-// the warm-world path. Contract: for eligible experiments the returned
-// result is byte-identical — fingerprint() and verdict_fingerprint() both
-// — to CampaignRunner::run_prepared on a freshly reset world
-// (tests/snapshot_test.cc and the CI snapshot differential enforce this).
+// the warm-world path.
+//
+// The experiment itself runs through the ExperimentBody that
+// CampaignRunner::run_prepared also runs (campaign/runner.h): online
+// checker, observers, drain, collect and verdicts are shared code. This
+// path keeps only the tape replay, the restore, installing the faults on
+// the restored world, and driving the load through the entry's driver.
+// Contract: for eligible experiments the returned result is byte-identical
+// — fingerprint() and verdict_fingerprint() both — to run_prepared on a
+// freshly reset world (tests/snapshot_test.cc and the CI snapshot
+// differential enforce this).
 //
 // Not thread-safe; each warm world owns one cache.
 #pragma once

@@ -2,18 +2,37 @@
 
 namespace gremlin::search {
 
-Baseline run_baseline(const campaign::Experiment& experiment) {
+namespace {
+
+// The baseline replay: the experiment without faults or custom body, run
+// to quiescence with the full log preserved — pruning needs the complete
+// observed call graph.
+campaign::Experiment clean_baseline(const campaign::Experiment& experiment) {
   campaign::Experiment clean = experiment;
   clean.id = "baseline";
   clean.failures.clear();
   clean.custom = nullptr;
+  return clean;
+}
 
+campaign::ExecOptions baseline_exec() {
+  campaign::ExecOptions exec;
+  exec.keep_latencies = false;
+  exec.early_exit = false;
+  exec.preserve_log = true;
+  return exec;
+}
+
+}  // namespace
+
+Baseline run_baseline(const campaign::Experiment& experiment) {
+  const campaign::Experiment clean = clean_baseline(experiment);
   sim::SimulationConfig cfg;
   cfg.seed = clean.seed;
   sim::Simulation sim(cfg);
   Baseline baseline;
-  baseline.result = campaign::CampaignRunner::run_in(clean, &sim,
-                                                     /*keep_latencies=*/false);
+  baseline.result =
+      campaign::CampaignRunner::run_in(clean, &sim, baseline_exec());
   baseline.call_graph = sim.log_store().call_graph();
   return baseline;
 }
@@ -23,19 +42,8 @@ Baseline run_baseline(const campaign::Experiment& experiment,
   if (world == nullptr || !world->app().reusable) {
     return run_baseline(experiment);
   }
-  campaign::Experiment clean = experiment;
-  clean.id = "baseline";
-  clean.failures.clear();
-  clean.custom = nullptr;
-
-  // Mirror run_in's legacy exec shape: full run, log preserved — pruning
-  // needs the complete observed call graph.
-  campaign::ExecOptions exec;
-  exec.keep_latencies = false;
-  exec.early_exit = false;
-  exec.preserve_log = true;
   Baseline baseline;
-  baseline.result = world->run(clean, exec);
+  baseline.result = world->run(clean_baseline(experiment), baseline_exec());
   baseline.call_graph = world->simulation()->log_store().call_graph();
   return baseline;
 }

@@ -12,24 +12,6 @@ namespace gremlin::search {
 
 namespace {
 
-// Mirrors the sweep generator's load-target resolution: the first entry
-// point that is neither excluded nor the client, falling back to the front
-// door the client calls.
-std::string resolve_target(const topology::AppGraph& graph,
-                           const SearchOptions& options) {
-  if (!options.target.empty()) return options.target;
-  for (const auto& entry : graph.entry_points()) {
-    if (options.generator.exclude.count(entry) == 0 &&
-        entry != options.client) {
-      return entry;
-    }
-  }
-  for (const auto& edge : graph.edges()) {
-    if (edge.src == options.client) return edge.dst;
-  }
-  return {};
-}
-
 campaign::Experiment make_experiment(const campaign::AppSpec& app,
                                      const std::vector<FaultPoint>& points,
                                      const Combination& combo,
@@ -61,7 +43,8 @@ SearchOutcome run_search(const campaign::AppSpec& app,
   outcome.seed = options.seed;
 
   const topology::AppGraph graph = app.probe_graph();
-  const std::string target = resolve_target(graph, options);
+  const std::string target = campaign::load_target(
+      graph, options.client, options.target, options.generator.exclude);
   if (target.empty()) {
     outcome.error = "no load target: graph has no entry point";
     return outcome;

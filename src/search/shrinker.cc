@@ -10,7 +10,9 @@ ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run,
                     const ShrinkOptions& options) {
   const RunFn exec =
       run ? run : [](const campaign::Experiment& e) {
-        return campaign::CampaignRunner::run_one(e, /*keep_latencies=*/false);
+        campaign::ExecOptions lean;
+        lean.keep_latencies = false;
+        return campaign::CampaignRunner::run_one(e, lean);
       };
 
   ShrinkResult result;

@@ -1,11 +1,15 @@
 // Campaign engine tests: the determinism contract (thread count never
-// changes results), experiment isolation (same seed + same spec = same
-// behaviour whether an experiment runs alone or inside a shared campaign),
-// sweep generation, seed replication, and recipe lowering.
+// changes results), the scheduler's edge cases, experiment isolation (same
+// seed + same spec = same behaviour whether an experiment runs alone or
+// inside a shared campaign), load-target resolution, sweep generation,
+// seed replication, and recipe lowering.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "campaign/app_spec.h"
 #include "campaign/experiment.h"
+#include "campaign/process_pool.h"
 #include "campaign/runner.h"
 #include "dsl/lowering.h"
 #include "dsl/parser.h"
@@ -126,6 +130,75 @@ TEST(RunnerTest, ReportsAreByteIdenticalAcrossOneFourEightThreads) {
   EXPECT_EQ(rendered_rows[0], rendered_rows[2]);
 }
 
+// Runs `experiments` at `threads` and counts on_result calls per id.
+CampaignResult run_counting(const std::vector<Experiment>& experiments,
+                            int threads, std::map<std::string, int>* seen) {
+  RunnerOptions options;
+  options.threads = threads;
+  options.on_result = [seen](const ExperimentResult& r) { ++(*seen)[r.id]; };
+  return CampaignRunner(options).run(experiments);
+}
+
+// The scheduler contract at its edges: any batch size at any thread count
+// is byte-identical to threads=1, and reports every experiment exactly once.
+void expect_scheduled_like_sequential(
+    const std::vector<Experiment>& experiments, int threads) {
+  std::map<std::string, int> seen_sequential;
+  std::map<std::string, int> seen;
+  const CampaignResult sequential =
+      run_counting(experiments, 1, &seen_sequential);
+  const CampaignResult parallel = run_counting(experiments, threads, &seen);
+
+  ASSERT_EQ(parallel.experiments.size(), experiments.size());
+  EXPECT_EQ(sequential.fingerprint(), parallel.fingerprint());
+  EXPECT_EQ(sequential.verdict_fingerprint(), parallel.verdict_fingerprint());
+  EXPECT_EQ(seen, seen_sequential);
+  EXPECT_EQ(seen.size(), experiments.size());
+  for (const auto& e : experiments) {
+    EXPECT_EQ(seen[e.id], 1) << e.id;
+  }
+}
+
+TEST(SchedulerTest, EmptyBatch) {
+  expect_scheduled_like_sequential({}, 8);
+}
+
+TEST(SchedulerTest, FewerExperimentsThanThreads) {
+  auto experiments = buggy_tree_sweep();
+  experiments.resize(3);
+  expect_scheduled_like_sequential(experiments, 8);
+}
+
+TEST(SchedulerTest, BatchSizeNotDividingTheChunkRule) {
+  // 201 experiments over 3 workers: chunks of 201 / 12 = 16 shrinking to
+  // single experiments, with a remainder at every step.
+  auto experiments = replicate_seeds(buggy_tree_sweep(), {1, 2, 3, 4, 5, 6, 7});
+  ASSERT_GE(experiments.size(), 201u);
+  experiments.resize(201);
+  expect_scheduled_like_sequential(experiments, 3);
+}
+
+TEST(SchedulerTest, ChunksShrinkTowardsTheTail) {
+  std::atomic<uint64_t> cursor{0};
+  std::vector<IndexRange> leases;
+  IndexRange lease;
+  while (claim_chunk(&cursor, 201, 3, &lease)) leases.push_back(lease);
+  ASSERT_FALSE(leases.empty());
+  EXPECT_EQ(leases.front().begin, 0u);
+  EXPECT_EQ(leases.front().end, 16u);  // 201 / (3 workers * 4)
+  EXPECT_EQ(leases.back().end, 201u);
+  EXPECT_EQ(leases.back().end - leases.back().begin, 1u);
+  for (size_t i = 1; i < leases.size(); ++i) {
+    EXPECT_EQ(leases[i].begin, leases[i - 1].end);  // contiguous, no gaps
+  }
+  EXPECT_FALSE(claim_chunk(&cursor, 201, 3, &lease));
+
+  // Never more than 64 at once, however large the batch.
+  std::atomic<uint64_t> big{0};
+  ASSERT_TRUE(claim_chunk(&big, 1000000, 1, &lease));
+  EXPECT_EQ(lease.end - lease.begin, 64u);
+}
+
 TEST(RunnerTest, ExperimentsAreIsolated) {
   // Same seed, different failure spec: each experiment gets its own private
   // simulation + RNG, so running an experiment inside a big shared campaign
@@ -164,9 +237,10 @@ TEST(RunnerTest, OnResultHookSeesEveryExperiment) {
 
 TEST(RunnerTest, DropLatenciesShrinksFingerprintOnly) {
   const auto experiments = buggy_tree_sweep();
-  const ExperimentResult full = CampaignRunner::run_one(experiments[0], true);
-  const ExperimentResult lean =
-      CampaignRunner::run_one(experiments[0], false);
+  const ExperimentResult full =
+      CampaignRunner::run_one(experiments[0], ExecOptions{});
+  const ExperimentResult lean = CampaignRunner::run_one(
+      experiments[0], ExecOptions{.keep_latencies = false});
   EXPECT_EQ(full.requests, lean.requests);
   EXPECT_EQ(full.failures, lean.failures);
   EXPECT_FALSE(full.latencies.empty());
@@ -224,6 +298,73 @@ TEST(ReportTest, CampaignReportAggregates) {
   EXPECT_NE(md.find("Failing experiments"), std::string::npos);
   const Json j = rep.to_json();
   EXPECT_TRUE(j.is_object());
+}
+
+TEST(LoadTargetTest, ExplicitTargetWins) {
+  topology::AppGraph graph;
+  graph.add_edge("user", "front");
+  EXPECT_EQ(load_target(graph, "user", "elsewhere"), "elsewhere");
+}
+
+TEST(LoadTargetTest, SkipsExcludedAndClientEntryPoints) {
+  // Entry points, sorted: "admin", "batch", "user". The client and the
+  // excluded "admin" are skipped; "batch" is the first that remains.
+  topology::AppGraph graph;
+  graph.add_edge("admin", "db");
+  graph.add_edge("batch", "db");
+  graph.add_edge("user", "front");
+  EXPECT_EQ(load_target(graph, "user", "", {"admin"}), "batch");
+  EXPECT_EQ(load_target(graph, "user", ""), "admin");
+  EXPECT_EQ(load_target(graph, "admin", "", {"batch"}), "user");
+}
+
+TEST(LoadTargetTest, FallsBackToTheClientsCallee) {
+  // The client is the only root: load the front door it calls.
+  topology::AppGraph graph;
+  graph.add_edge("user", "front");
+  graph.add_edge("front", "db");
+  EXPECT_EQ(load_target(graph, "user", ""), "front");
+  EXPECT_EQ(load_target(graph, "user", "", {"user"}), "front");
+}
+
+TEST(LoadTargetTest, EmptyWhenTheGraphHasNone) {
+  // A cycle has no entry points, and the client calls nothing.
+  topology::AppGraph graph;
+  graph.add_edge("a", "b");
+  graph.add_edge("b", "a");
+  EXPECT_EQ(load_target(graph, "user", ""), "");
+  EXPECT_EQ(load_target(topology::AppGraph{}, "user", ""), "");
+}
+
+TEST(LoadTargetTest, SnapshotEligibleExperimentReportsTheMissingTarget) {
+  // Same experiment twice on a graph with no load target: once with an
+  // immediate fault (the plain warm path), once with the fault at 100 ms
+  // (eligible for a prefix snapshot). Both report the same error.
+  topology::AppGraph graph;
+  graph.add_edge("a", "b");
+  graph.add_edge("b", "a");
+  Experiment immediate;
+  immediate.id = "no-target";
+  immediate.app = AppSpec::from_graph(graph);
+  immediate.failures.push_back(control::FailureSpec::abort_edge("a", "b"));
+  immediate.load = small_load();
+  immediate.checks.push_back(CheckSpec::max_user_failures(0));
+  Experiment delayed = immediate;
+  delayed.failures[0].after = msec(100);
+
+  RunnerOptions options;  // warm worlds and snapshots on, as by default
+  options.threads = 1;
+  ASSERT_TRUE(options.warm_worlds);
+  ASSERT_TRUE(options.use_snapshots);
+  const CampaignResult result =
+      CampaignRunner(options).run({immediate, delayed});
+  ASSERT_EQ(result.experiments.size(), 2u);
+  for (const ExperimentResult& r : result.experiments) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "no load target: graph has no entry point");
+  }
+  EXPECT_EQ(result.experiments[0].fingerprint(),
+            result.experiments[1].fingerprint());
 }
 
 TEST(LoweringTest, RecipeScenariosBecomeExperiments) {

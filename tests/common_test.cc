@@ -2,6 +2,7 @@
 // deterministic RNG, and the JSON document model.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "common/duration.h"
@@ -63,6 +64,13 @@ struct GlobCase {
   const char* text;
   bool expect;
 };
+
+// Printed into the discovered test names; the default byte dump of the
+// struct would embed pointer values that change from build to build.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" vs \"" << c.text << "\" "
+      << (c.expect ? "matches" : "does not match");
+}
 
 class GlobMatchTest : public ::testing::TestWithParam<GlobCase> {};
 

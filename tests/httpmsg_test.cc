@@ -3,6 +3,8 @@
 // bodies, byte-at-a-time feeding, pipelining, and malformed input.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "httpmsg/parser.h"
 
 namespace gremlin::httpmsg {
@@ -190,6 +192,9 @@ struct MalformedCase {
   const char* wire;
   Parser::Kind kind;
 };
+
+// Keeps the discovered test names free of pointer values.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
 
 class MalformedTest : public ::testing::TestWithParam<MalformedCase> {};
 
