@@ -56,6 +56,7 @@ Json SearchReport::to_json() const {
   space["failed"] = static_cast<int64_t>(o.failed);
   space["errors"] = static_cast<int64_t>(o.errors);
   space["shrink_runs"] = static_cast<int64_t>(o.shrink_runs);
+  space["shrink_executed"] = static_cast<int64_t>(o.shrink_executed);
   j["space"] = space;
 
   Json findings = Json::array();
@@ -120,6 +121,9 @@ std::string SearchReport::to_markdown() const {
   out += "| run | " + std::to_string(o.ran) + " |\n";
   out += "| failed | " + std::to_string(o.failed) + " |\n";
   if (o.errors > 0) out += "| errors | " + std::to_string(o.errors) + " |\n";
+  out += "| shrink probes | " + std::to_string(o.shrink_runs) +
+         " requested, " + std::to_string(o.shrink_executed) +
+         " simulated |\n";
   out += "\n";
 
   out += "Baseline: " + std::to_string(o.baseline_requests) +

@@ -145,6 +145,9 @@ SearchOutcome run_search(const campaign::AppSpec& app,
   // Shrink failures to minimal reproducers, deduplicated by the minimal
   // fault set (many combinations typically collapse onto one bug).
   std::map<std::string, size_t> finding_index;
+  // Every probe below shares app, seed, checks, client, target and exec
+  // options, so one memo is exact for this call and for no other.
+  ProbeMemo memo;
   for (size_t i = 0; i < campaign.experiments.size(); ++i) {
     const campaign::ExperimentResult& r = campaign.experiments[i];
     ComboOutcome& row = outcome.combos[experiment_combo[i]];
@@ -178,8 +181,9 @@ SearchOutcome run_search(const campaign::AppSpec& app,
             return world ? world->run(e, shrink_exec)
                          : campaign::CampaignRunner::run_one(e, shrink_exec);
           },
-          options.shrink_options);
+          options.shrink_options, &memo);
       outcome.shrink_runs += shrunk.runs;
+      outcome.shrink_executed += shrunk.executed;
       finding.flaky = shrunk.flaky;
       finding.signature = shrunk.signature;
       finding.shrink_runs = shrunk.runs;

@@ -4,7 +4,8 @@
 //   optionally pairwise-covering)  →  replay the fault-free baseline and
 //   prune combinations the observed call graph rules out  →  run the
 //   survivors in parallel on the campaign engine  →  shrink every failure
-//   to a locally-minimal reproducer with a replayable seed.
+//   to a locally-minimal reproducer with a replayable seed (one ProbeMemo
+//   per search answers reduction probes an earlier shrink simulated).
 //
 // The output is a SearchOutcome: the funnel counters (generated / pruned /
 // run / failed), per-combination verdicts, and deduplicated minimal
@@ -107,7 +108,8 @@ struct SearchOutcome {
   size_t passed = 0;
   size_t failed = 0;
   size_t errors = 0;
-  size_t shrink_runs = 0;  // extra experiment executions spent shrinking
+  size_t shrink_runs = 0;  // probes requested (memo hits included)
+  size_t shrink_executed = 0;  // probes simulated (repeats answered by memo)
 
   std::vector<ComboOutcome> combos;   // generation order
   std::vector<Finding> findings;      // distinct minimal reproducers

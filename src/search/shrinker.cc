@@ -6,8 +6,36 @@
 
 namespace gremlin::search {
 
+std::string ProbeMemo::key(const campaign::Experiment& e) {
+  std::string key =
+      std::to_string(e.seed) + '/' + std::to_string(e.load.count);
+  for (const auto& spec : e.failures) {
+    const size_t id =
+        fault_ids_.try_emplace(spec.fingerprint(), fault_ids_.size())
+            .first->second;
+    key += '/' + std::to_string(id);
+  }
+  return key;
+}
+
+const ProbeMemo::Outcome* ProbeMemo::find(const campaign::Experiment& e) {
+  const auto it = outcomes_.find(key(e));
+  return it == outcomes_.end() ? nullptr : &it->second;
+}
+
+void ProbeMemo::record(const campaign::Experiment& e,
+                       const campaign::ExperimentResult& result) {
+  Outcome outcome;
+  outcome.ok = result.ok;
+  outcome.passed = result.passed();
+  if (outcome.ok && !outcome.passed) {
+    outcome.signature = control::failure_signature(result.checks);
+  }
+  outcomes_.insert_or_assign(key(e), std::move(outcome));
+}
+
 ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run,
-                    const ShrinkOptions& options) {
+                    const ShrinkOptions& options, ProbeMemo* memo) {
   const RunFn exec =
       run ? run : [](const campaign::Experiment& e) {
         campaign::ExecOptions lean;
@@ -21,9 +49,12 @@ ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run,
   result.load_before = result.load_after = failing.load.count;
 
   // Verification re-run: the failure must reproduce deterministically
-  // before any reduction is meaningful.
+  // before any reduction is meaningful. It is never answered from the
+  // memo, only recorded in it.
   const campaign::ExperimentResult reference = exec(failing);
   ++result.runs;
+  ++result.executed;
+  if (memo) memo->record(failing, reference);
   if (!reference.ok || reference.passed()) {
     result.flaky = true;
     return result;
@@ -33,11 +64,18 @@ ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run,
 
   // A candidate counts as reproducing only when the identical set of checks
   // fails — shrinking must preserve the failure mode, not just "some
-  // failure".
+  // failure". A memo hit still counts as a requested run.
   auto reproduces = [&](const campaign::Experiment& candidate) {
     if (result.runs >= options.max_runs) return false;
-    const campaign::ExperimentResult r = exec(candidate);
     ++result.runs;
+    if (memo) {
+      if (const ProbeMemo::Outcome* hit = memo->find(candidate)) {
+        return hit->ok && !hit->passed && hit->signature == result.signature;
+      }
+    }
+    const campaign::ExperimentResult r = exec(candidate);
+    ++result.executed;
+    if (memo) memo->record(candidate, r);
     return r.ok && !r.passed() &&
            control::failure_signature(r.checks) == result.signature;
   };

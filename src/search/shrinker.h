@@ -16,10 +16,15 @@
 //
 // A failure that does not reproduce on the verification re-run is reported
 // as flaky (`flaky = true`) and returned unshrunk rather than looping.
+//
+// Many shrinks in one search probe the same reductions (every failing pair
+// sharing a fault probes that fault alone). A ProbeMemo shared across those
+// shrinks answers a repeated reduction candidate from its first execution.
 #pragma once
 
 #include <functional>
 #include <string>
+#include <unordered_map>
 
 #include "campaign/experiment.h"
 #include "campaign/runner.h"
@@ -40,12 +45,43 @@ struct ShrinkOptions {
   size_t min_load = 1;  // never shrink below this many requests
 };
 
+// Exact memo of probe outcomes, keyed on (seed, load count, ordered fault
+// list). Valid only across experiments that agree on every other field —
+// app, client, target, load shape, checks — and run with the same exec
+// options, as every probe of one run_search call does; then the
+// determinism contract makes a probe's outcome a function of the key. Fault
+// order is part of the key because rule installation order decides
+// first-match-wins and the per-rule RNG streams. Faults are keyed by
+// FailureSpec::fingerprint, never by their describe() labels, which omit
+// fields; each distinct fingerprint is stored once and keys carry its dense
+// id. Stores only what shrinking compares, so memory stays flat.
+class ProbeMemo {
+ public:
+  struct Outcome {
+    bool ok = false;
+    bool passed = false;
+    std::string signature;  // control::failure_signature when failing
+  };
+
+  // The recorded outcome of `e`, or nullptr when it has not run.
+  const Outcome* find(const campaign::Experiment& e);
+  void record(const campaign::Experiment& e,
+              const campaign::ExperimentResult& result);
+
+ private:
+  std::string key(const campaign::Experiment& e);
+
+  std::unordered_map<std::string, size_t> fault_ids_;  // fingerprint → id
+  std::unordered_map<std::string, Outcome> outcomes_;
+};
+
 struct ShrinkResult {
   campaign::Experiment minimal;  // locally-minimal reproducer (or the input)
   bool reproduced = false;       // verification re-run failed as expected
   bool flaky = false;            // it passed instead: not deterministic
   std::string signature;         // preserved failure signature
-  size_t runs = 0;               // experiments executed while shrinking
+  size_t runs = 0;               // probes requested, memo hits included
+  size_t executed = 0;           // probes actually simulated (<= runs)
   size_t faults_before = 0;
   size_t faults_after = 0;
   size_t load_before = 0;
@@ -59,7 +95,12 @@ struct ShrinkResult {
 };
 
 // Shrinks `failing` (an experiment whose run failed at least one check).
+// With a memo, reduction candidates already in it are not re-run; the
+// verification re-run always executes (and is recorded), so flaky detection
+// still compares two real executions. `runs`, and with it the max_runs
+// budget, is the same with or without a memo.
 ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run = {},
-                    const ShrinkOptions& options = {});
+                    const ShrinkOptions& options = {},
+                    ProbeMemo* memo = nullptr);
 
 }  // namespace gremlin::search

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "campaign/app_spec.h"
@@ -355,6 +356,166 @@ TEST(ShrinkerTest, RunBudgetIsRespected) {
   EXPECT_EQ(result.load_after, 40u);
 }
 
+// ------------------------------------------------------------ probe memo
+
+// Ordered fault labels plus load: what a scripted runner counts executions
+// by. Labels are unique among the scripted faults, so this is exact here.
+std::string probe_label(const campaign::Experiment& e) {
+  std::string label = std::to_string(e.load.count) + ":";
+  for (const auto& f : e.failures) label += f.b + ",";
+  return label;
+}
+
+TEST(ProbeMemoTest, RepeatedCandidateExecutesOnce) {
+  // Only the fault on x->a matters. Shrinking {a,b} and then {a,c} probes
+  // {a} both times; with a shared memo it is simulated once.
+  std::map<std::string, size_t> executions;
+  const RunFn culprit_is_a = [&](const campaign::Experiment& e) {
+    ++executions[probe_label(e)];
+    for (const auto& f : e.failures) {
+      if (f.b == "a") return fake_result({"Broken"});
+    }
+    return fake_result({});
+  };
+  ShrinkOptions options;
+  options.shrink_load = false;
+  ProbeMemo memo;
+  const ShrinkResult first =
+      shrink(faulty_experiment({"a", "b"}), culprit_is_a, options, &memo);
+  const ShrinkResult second =
+      shrink(faulty_experiment({"a", "c"}), culprit_is_a, options, &memo);
+
+  EXPECT_EQ(executions["1:a,"], 1u);
+  for (const auto& [label, n] : executions) EXPECT_EQ(n, 1u) << label;
+  // verify {a,b}, drop a -> {b} passes, drop b -> {a} reproduces.
+  EXPECT_EQ(first.runs, 3u);
+  EXPECT_EQ(first.executed, 3u);
+  EXPECT_EQ(second.runs, 3u);
+  EXPECT_EQ(second.executed, 2u);  // {a} answered by the memo
+  ASSERT_EQ(second.minimal.failures.size(), 1u);
+  EXPECT_EQ(second.minimal.failures[0].b, "a");
+}
+
+TEST(ProbeMemoTest, KeyTellsApartLoadCountFaultOrderAndSeed) {
+  ProbeMemo memo;
+  const campaign::Experiment ab = faulty_experiment({"a", "b"}, 40);
+  memo.record(ab, fake_result({"Broken"}));
+  ASSERT_NE(memo.find(ab), nullptr);
+  EXPECT_FALSE(memo.find(ab)->passed);
+  EXPECT_EQ(memo.find(ab)->signature, "Broken");
+
+  EXPECT_EQ(memo.find(faulty_experiment({"b", "a"}, 40)), nullptr);
+  EXPECT_EQ(memo.find(faulty_experiment({"a", "b"}, 20)), nullptr);
+  EXPECT_EQ(memo.find(faulty_experiment({"a"}, 40)), nullptr);
+  campaign::Experiment reseeded = ab;
+  reseeded.seed = ab.seed + 1;
+  EXPECT_EQ(memo.find(reseeded), nullptr);
+  // Two specs with one describe() label but different fields.
+  campaign::Experiment other_code = ab;
+  other_code.failures[0].error = 500;
+  ASSERT_EQ(describe(other_code.failures[0]), describe(ab.failures[0]));
+  EXPECT_EQ(memo.find(other_code), nullptr);
+  // The id is not part of the key.
+  campaign::Experiment renamed = ab;
+  renamed.id = "another";
+  EXPECT_NE(memo.find(renamed), nullptr);
+}
+
+TEST(ProbeMemoTest, KeyedEntriesNeverAnswerAnotherOrderOrLoad) {
+  // Fails only while x->a is the first of at least two faults. Entries for
+  // {c,a} and for {a,c} at another load are recorded as passing; were the
+  // key blind to order or load, they would hide the {a,c} reduction.
+  std::map<std::string, size_t> executions;
+  const RunFn a_leads = [&](const campaign::Experiment& e) {
+    ++executions[probe_label(e)];
+    const bool fails = e.failures.size() >= 2 && e.failures[0].b == "a";
+    return fake_result(fails ? std::vector<std::string>{"Broken"}
+                             : std::vector<std::string>{});
+  };
+  ProbeMemo memo;
+  memo.record(faulty_experiment({"c", "a"}, 1), fake_result({}));
+  memo.record(faulty_experiment({"a", "c"}, 2), fake_result({}));
+  ShrinkOptions options;
+  options.shrink_load = false;
+  const ShrinkResult result =
+      shrink(faulty_experiment({"a", "b", "c"}, 1), a_leads, options, &memo);
+  ASSERT_EQ(result.minimal.failures.size(), 2u);
+  EXPECT_EQ(result.minimal.failures[0].b, "a");
+  EXPECT_EQ(result.minimal.failures[1].b, "c");
+  EXPECT_EQ(executions["1:a,c,"], 1u);
+}
+
+TEST(ProbeMemoTest, VerificationReRunAlwaysExecutes) {
+  // Fails on its first execution only. The first shrink (verification
+  // only) records the failure; the second must re-simulate rather than
+  // trust that entry, and so report the flake.
+  size_t calls = 0;
+  const RunFn fails_once = [&](const campaign::Experiment&) {
+    return fake_result(++calls == 1 ? std::vector<std::string>{"Broken"}
+                                    : std::vector<std::string>{});
+  };
+  ShrinkOptions verify_only;
+  verify_only.max_runs = 1;
+  ProbeMemo memo;
+  const campaign::Experiment e = faulty_experiment({"a", "b"});
+  const ShrinkResult first = shrink(e, fails_once, verify_only, &memo);
+  EXPECT_TRUE(first.reproduced);
+  ASSERT_NE(memo.find(e), nullptr);
+  EXPECT_FALSE(memo.find(e)->passed);
+
+  const ShrinkResult second = shrink(e, fails_once, {}, &memo);
+  EXPECT_EQ(calls, 2u);
+  EXPECT_TRUE(second.flaky);
+  EXPECT_FALSE(second.reproduced);
+  EXPECT_EQ(second.runs, 1u);
+  EXPECT_EQ(second.executed, 1u);
+  EXPECT_TRUE(memo.find(e)->passed);  // the re-run's outcome is recorded
+}
+
+TEST(ProbeMemoTest, RunsAreIdenticalWithAndWithoutMemo) {
+  // Faults b and c each fail "Broken"; above 5 requests they also fail
+  // "Slow". Every budget from verification-only up to unbounded must give
+  // the same runs and reductions with a memo as without.
+  const RunFn scripted = [](const campaign::Experiment& e) {
+    std::vector<std::string> failed;
+    for (const auto& f : e.failures) {
+      if (f.b == "b" || f.b == "c") failed = {"Broken"};
+    }
+    if (!failed.empty() && e.load.count > 5) failed.push_back("Slow");
+    return fake_result(failed);
+  };
+  const std::vector<campaign::Experiment> failing = {
+      faulty_experiment({"a", "b", "c"}, 40),
+      faulty_experiment({"a", "b"}, 40),
+      faulty_experiment({"b", "c"}, 40),
+      faulty_experiment({"a", "c"}, 40),
+      faulty_experiment({"c", "b", "a"}, 40),
+  };
+  for (const size_t max_runs : {1u, 2u, 3u, 4u, 5u, 7u, 10u, 48u}) {
+    ShrinkOptions options;
+    options.max_runs = max_runs;
+    ProbeMemo memo;
+    size_t requested = 0;
+    size_t executed = 0;
+    for (const auto& e : failing) {
+      const ShrinkResult plain = shrink(e, scripted, options);
+      const ShrinkResult memoized = shrink(e, scripted, options, &memo);
+      EXPECT_EQ(plain.runs, memoized.runs) << max_runs;
+      EXPECT_EQ(plain.executed, plain.runs);
+      EXPECT_LE(memoized.executed, memoized.runs);
+      EXPECT_EQ(probe_label(plain.minimal), probe_label(memoized.minimal));
+      EXPECT_EQ(plain.signature, memoized.signature);
+      EXPECT_EQ(plain.reproduced, memoized.reproduced);
+      EXPECT_EQ(plain.flaky, memoized.flaky);
+      requested += memoized.runs;
+      executed += memoized.executed;
+    }
+    if (max_runs >= 3) {
+      EXPECT_LT(executed, requested) << max_runs;
+    }
+  }
+}
+
 // ---------------------------------------------------- end-to-end search
 
 control::LoadOptions small_load() {
@@ -502,6 +663,162 @@ TEST(SearchEndToEndTest, SearchIsDeterministicAcrossThreads) {
   EXPECT_EQ(a.failed, b.failed);
 }
 
+// run_search's pipeline re-composed from its public parts, shrinking every
+// failure with the memo-less three-argument shrink() on fresh worlds.
+SearchOutcome composed_search(const campaign::AppSpec& app,
+                              const SearchOptions& options) {
+  SearchOutcome outcome;
+  const topology::AppGraph graph = app.probe_graph();
+  const std::string target = campaign::load_target(
+      graph, options.client, options.target, options.generator.exclude);
+  const std::vector<FaultPoint> points =
+      enumerate_fault_points(graph, options.generator, {options.client,
+                                                         target});
+  const std::vector<Combination> combos =
+      generate_combinations(points, options.generator, &outcome.truncated);
+  outcome.fault_points = points.size();
+  outcome.generated = combos.size();
+
+  auto experiment = [&](const std::string& id,
+                        std::vector<control::FailureSpec> faults) {
+    campaign::Experiment e;
+    e.id = id;
+    e.app = app;
+    e.failures = std::move(faults);
+    e.client = options.client;
+    e.target = target;
+    e.load = options.load;
+    e.checks = {campaign::CheckSpec::max_user_failures(0)};
+    e.seed = options.seed;
+    return e;
+  };
+  const Baseline baseline = run_baseline(experiment("", {}));
+  std::vector<campaign::Experiment> experiments;
+  for (const Combination& combo : combos) {
+    if (!decide(points, combo, baseline.call_graph).keep()) {
+      ++outcome.pruned;
+      continue;
+    }
+    std::vector<control::FailureSpec> faults;
+    for (const size_t p : combo.points) faults.push_back(points[p].spec);
+    experiments.push_back(experiment(combo.label, std::move(faults)));
+  }
+  campaign::RunnerOptions runner_options;
+  runner_options.threads = 2;
+  runner_options.keep_latencies = false;
+  const campaign::CampaignResult batch =
+      campaign::CampaignRunner(runner_options).run(experiments);
+  outcome.ran = batch.experiments.size();
+
+  campaign::ExecOptions exec;
+  exec.keep_latencies = false;
+  const RunFn probe = [&exec](const campaign::Experiment& e) {
+    return campaign::CampaignRunner::run_one(e, exec);
+  };
+  std::map<std::string, size_t> finding_index;
+  for (size_t i = 0; i < batch.experiments.size(); ++i) {
+    const campaign::ExperimentResult& r = batch.experiments[i];
+    if (!r.ok) {
+      ++outcome.errors;
+      continue;
+    }
+    if (r.passed()) {
+      ++outcome.passed;
+      continue;
+    }
+    ++outcome.failed;
+    const ShrinkResult shrunk =
+        shrink(experiments[i], probe, options.shrink_options);
+    outcome.shrink_runs += shrunk.runs;
+    outcome.shrink_executed += shrunk.executed;
+    Finding f;
+    f.combination = r.id;
+    f.seed = r.seed;
+    f.flaky = shrunk.flaky;
+    f.signature = shrunk.signature;
+    f.shrink_runs = shrunk.runs;
+    f.load_count = shrunk.minimal.load.count;
+    f.faults_before = experiments[i].failures.size();
+    for (const auto& spec : shrunk.minimal.failures) {
+      if (!f.minimal.empty()) f.minimal += " + ";
+      f.minimal += describe(spec);
+    }
+    if (f.flaky) f.minimal = "(flaky) " + f.combination;
+    const auto [it, fresh] =
+        finding_index.emplace(f.minimal, outcome.findings.size());
+    if (fresh) {
+      outcome.findings.push_back(std::move(f));
+    } else {
+      ++outcome.findings[it->second].occurrences;
+    }
+  }
+  outcome.ok = true;
+  return outcome;
+}
+
+TEST(SearchEndToEndTest, MemoizedShrinkingMatchesPlainShrinking) {
+  struct Case {
+    campaign::AppSpec app;
+    uint64_t seed;
+  };
+  const std::vector<Case> cases = {
+      {campaign::AppSpec::redundant(), 7},
+      {campaign::AppSpec::named("mega:2x2").value(), 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.app.name);
+    SearchOptions options;
+    options.load = small_load();
+    options.seed = c.seed;
+    options.threads = 2;
+    options.generator.max_k = 2;
+
+    // A memo keyed on describe() labels would merge two such points.
+    const topology::AppGraph graph = c.app.probe_graph();
+    const std::string target = campaign::load_target(
+        graph, options.client, options.target, options.generator.exclude);
+    std::set<std::string> labels;
+    for (const FaultPoint& p : enumerate_fault_points(
+             graph, options.generator, {options.client, target})) {
+      EXPECT_TRUE(labels.insert(describe(p.spec)).second)
+          << "two fault points share the label " << describe(p.spec);
+    }
+
+    const SearchOutcome memoized = run_search(c.app, options);
+    const SearchOutcome plain = composed_search(c.app, options);
+    ASSERT_TRUE(memoized.ok) << memoized.error;
+    ASSERT_TRUE(memoized.found_failures());
+
+    EXPECT_EQ(memoized.fault_points, plain.fault_points);
+    EXPECT_EQ(memoized.generated, plain.generated);
+    EXPECT_EQ(memoized.truncated, plain.truncated);
+    EXPECT_EQ(memoized.pruned, plain.pruned);
+    EXPECT_EQ(memoized.ran, plain.ran);
+    EXPECT_EQ(memoized.passed, plain.passed);
+    EXPECT_EQ(memoized.failed, plain.failed);
+    EXPECT_EQ(memoized.errors, plain.errors);
+    EXPECT_EQ(memoized.shrink_runs, plain.shrink_runs);
+    EXPECT_EQ(plain.shrink_executed, plain.shrink_runs);
+    EXPECT_GT(memoized.shrink_executed, 0u);
+    EXPECT_LT(memoized.shrink_executed, memoized.shrink_runs);
+
+    ASSERT_EQ(memoized.findings.size(), plain.findings.size());
+    for (size_t i = 0; i < plain.findings.size(); ++i) {
+      const Finding& m = memoized.findings[i];
+      const Finding& p = plain.findings[i];
+      EXPECT_EQ(m.combination, p.combination);
+      EXPECT_EQ(m.minimal, p.minimal);
+      EXPECT_EQ(m.seed, p.seed);
+      EXPECT_EQ(m.load_count, p.load_count) << m.minimal;
+      EXPECT_EQ(m.signature, p.signature) << m.minimal;
+      EXPECT_EQ(m.flaky, p.flaky) << m.minimal;
+      EXPECT_EQ(m.shrink_runs, p.shrink_runs) << m.minimal;
+      EXPECT_EQ(m.faults_before, p.faults_before) << m.minimal;
+      EXPECT_EQ(m.occurrences, p.occurrences) << m.minimal;
+    }
+  }
+}
+
 TEST(SearchEndToEndTest, BaselineCheckViolationAbortsTheSearch) {
   // A baseline that fails its own assertions makes every verdict
   // meaningless; the search must refuse to continue rather than report
@@ -539,11 +856,19 @@ TEST(SearchReportTest, RendersFunnelAndReproducers) {
   EXPECT_EQ(j["space"]["generated"].as_int(), 210);
   EXPECT_GT(j["findings"].size(), 0u);
   EXPECT_EQ(j["combinations"].size(), 210u);
+  EXPECT_EQ(j["space"]["shrink_runs"].as_int(),
+            static_cast<int64_t>(outcome.shrink_runs));
+  EXPECT_EQ(j["space"]["shrink_executed"].as_int(),
+            static_cast<int64_t>(outcome.shrink_executed));
 
   const std::string md = rep.to_markdown();
   EXPECT_NE(md.find("Search funnel"), std::string::npos);
   EXPECT_NE(md.find("Minimal reproducers"), std::string::npos);
   EXPECT_NE(md.find("replay: seed 7"), std::string::npos);
+  EXPECT_NE(md.find("| shrink probes | " +
+                    std::to_string(outcome.shrink_runs) + " requested, " +
+                    std::to_string(outcome.shrink_executed) + " simulated |"),
+            std::string::npos);
 }
 
 }  // namespace
