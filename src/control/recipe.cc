@@ -92,10 +92,14 @@ LoadResult TestSession::run_load(const std::string& client,
   const Symbol target_sym(target);
 
   if (options.closed_loop) {
-    // Issue request i+1 only once request i completed.
+    // Issue request i+1 only once request i completed. The function holds
+    // itself weakly: a strong self-capture is a reference cycle that leaks
+    // it. Whoever invokes it (this frame, then the gap timer) holds it.
     auto send = std::make_shared<std::function<void(size_t)>>();
-    *send = [this, result, options, client_sym, target_sym, send](size_t i) {
+    std::weak_ptr<std::function<void(size_t)>> self = send;
+    *send = [this, result, options, client_sym, target_sym, self](size_t i) {
       if (i >= options.count) return;
+      auto send = self.lock();
       sim::SimRequest req;
       req.request_id = options.id_prefix + std::to_string(i);
       req.uri = options.uri;

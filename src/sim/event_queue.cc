@@ -226,40 +226,54 @@ void EventQueue::pop_wheel(const Entry& e) {
   --wheel_pending_;
 }
 
-void EventQueue::schedule_timer(TimePoint at, Duration delay, Action action) {
-  Lane* lane = nullptr;
-  for (size_t i = 0; i < lanes_used_; ++i) {
-    if (lanes_[i].delay == delay) {
-      lane = &lanes_[i];
-      break;
-    }
-  }
-  if (lane == nullptr) {
+EventQueue::TimerHandle EventQueue::schedule_timer(TimePoint at,
+                                                  Duration delay,
+                                                  Action action) {
+  size_t li = 0;
+  while (li < lanes_used_ && lanes_[li].delay != delay) ++li;
+  if (li == lanes_used_) {
     if (lanes_used_ >= kMaxLanes) {
       schedule_at(at, std::move(action));
-      return;
+      return {};
     }
     // Re-activate a retained lane slot when one exists (its ring keeps the
     // capacity from earlier runs); first-use order matches a fresh queue.
     if (lanes_used_ < lanes_.size()) {
-      lane = &lanes_[lanes_used_];
-      lane->delay = delay;
+      lanes_[li].delay = delay;
+      lanes_[li].issued = 0;
     } else {
       lanes_.push_back(Lane{delay, {}});
-      lane = &lanes_.back();
     }
     ++lanes_used_;
   }
-  if (!lane->fifo.empty() && at < lane->fifo.back().at) {
+  Lane& lane = lanes_[li];
+  if (!lane.fifo.empty() && at < lane.fifo.back().at) {
     // Out-of-order birth (caller's clock was not monotone): the lane
     // invariant would break, so this timer takes the ordinary heap path.
     schedule_at(at, std::move(action));
-    return;
+    return {};
   }
   const uint32_t idx = pool_->acquire();
   pool_->action(idx) = std::move(action);
-  lane->fifo.push_back(Entry{at, next_seq_++, idx});
+  lane.fifo.push_back(Entry{at, next_seq_++, idx});
   ++lanes_pending_;
+  return TimerHandle{static_cast<uint32_t>(li), epoch_, lane.issued++};
+}
+
+void EventQueue::cancel_timer(const TimerHandle& handle) {
+  if (handle.empty() || handle.epoch != epoch_) return;
+  assert(handle.lane < lanes_used_);
+  Lane& lane = lanes_[handle.lane];
+  // Tickets below the front's have popped; the lane is FIFO, so a pending
+  // ticket sits at its distance from the front.
+  const uint64_t front = lane.issued - lane.fifo.size();
+  if (handle.ticket < front) return;
+  Entry& e = lane.fifo.at(static_cast<size_t>(handle.ticket - front));
+  if (e.idx == kNil) return;
+  const uint32_t idx = e.idx;
+  e.idx = kNil;  // before release: the closure's destructors may re-enter
+  ++tombstones_;
+  pool_->release(idx);
 }
 
 const EventQueue::Entry* EventQueue::best_entry(int* src) const {
@@ -290,7 +304,6 @@ TimePoint EventQueue::pop_and_run(TimePoint* clock) {
   // lands in, if pending) before touching slot lists — if `top` is a
   // level-1 cached min, this is what moves it into its level-0 slot.
   advance_to(top.at);
-  Action action = std::move(pool_->action(top.idx));
   if (src == kSrcWheel) {
     pop_wheel(top);
   } else if (src == kSrcHeap) {
@@ -301,8 +314,13 @@ TimePoint EventQueue::pop_and_run(TimePoint* clock) {
     lanes_[static_cast<size_t>(src)].fifo.pop_front();
     --lanes_pending_;
   }
+  if (top.idx == kNil) {  // tombstone: the clock moved, nothing runs
+    --tombstones_;
+    return top.at;
+  }
   // Recycle before running: the action may schedule follow-up events, which
   // then reuse this very slot instead of growing the pool.
+  Action action = std::move(pool_->action(top.idx));
   pool_->release(top.idx);
   action();
   return top.at;
@@ -344,17 +362,21 @@ void EventQueue::release_wheel_entries() {
   wheel_pending_ = 0;
 }
 
+EventQueue::SavedEvent EventQueue::saved(const Entry& e) const {
+  if (e.idx == kNil) return SavedEvent{e.at, e.seq, {}};
+  return SavedEvent{e.at, e.seq, pool_->action(e.idx)};
+}
+
 void EventQueue::save_events(std::vector<SavedEvent>* out) const {
   out->clear();
   out->reserve(size());
   for (const Entry& e : heap_) {
-    out->push_back(SavedEvent{e.at, e.seq, pool_->action(e.idx)});
+    out->push_back(saved(e));
   }
   for (size_t i = 0; i < lanes_used_; ++i) {
     const Ring& fifo = lanes_[i].fifo;
     for (size_t j = 0; j < fifo.size(); ++j) {
-      const Entry& e = fifo.at(j);
-      out->push_back(SavedEvent{e.at, e.seq, pool_->action(e.idx)});
+      out->push_back(saved(fifo.at(j)));
     }
   }
   // Wheel walk: occupied L0 slots via the summary bitmap, then live L1
@@ -370,8 +392,7 @@ void EventQueue::save_events(std::vector<SavedEvent>* out) const {
           (word << 6) | static_cast<size_t>(std::countr_zero(bits));
       bits &= bits - 1;
       for (uint32_t n = l0_[slot].head; n != kNil; n = wnodes_[n].next) {
-        const Entry& e = wnodes_[n].entry;
-        out->push_back(SavedEvent{e.at, e.seq, pool_->action(e.idx)});
+        out->push_back(saved(wnodes_[n].entry));
       }
     }
   }
@@ -380,8 +401,7 @@ void EventQueue::save_events(std::vector<SavedEvent>* out) const {
     const size_t l1 = static_cast<size_t>(std::countr_zero(live));
     live &= live - 1;
     for (uint32_t n = l1_[l1].head; n != kNil; n = wnodes_[n].next) {
-      const Entry& e = wnodes_[n].entry;
-      out->push_back(SavedEvent{e.at, e.seq, pool_->action(e.idx)});
+      out->push_back(saved(wnodes_[n].entry));
     }
   }
 }
@@ -391,8 +411,13 @@ void EventQueue::restore_events(const std::vector<SavedEvent>& events,
   clear();
   heap_.reserve(events.size());
   for (const SavedEvent& ev : events) {
-    const uint32_t idx = pool_->acquire();
-    pool_->action(idx) = ev.action;
+    uint32_t idx = kNil;
+    if (ev.action) {
+      idx = pool_->acquire();
+      pool_->action(idx) = ev.action;
+    } else {
+      ++tombstones_;
+    }
     heap_.push_back(Entry{ev.at, ev.seq, idx});
     sift_up(heap_.size() - 1);
   }
@@ -403,11 +428,15 @@ void EventQueue::restore_events(const std::vector<SavedEvent>& events,
 }
 
 void EventQueue::clear() {
-  for (const Entry& e : heap_) pool_->release(e.idx);
+  for (const Entry& e : heap_) {
+    if (e.idx != kNil) pool_->release(e.idx);
+  }
   heap_.clear();
   for (size_t i = 0; i < lanes_used_; ++i) {
     Ring& fifo = lanes_[i].fifo;
-    for (size_t j = 0; j < fifo.size(); ++j) pool_->release(fifo.at(j).idx);
+    for (size_t j = 0; j < fifo.size(); ++j) {
+      if (fifo.at(j).idx != kNil) pool_->release(fifo.at(j).idx);
+    }
     fifo.clear();
   }
   // Deactivate (but retain) the lane table: a reused queue must rebuild
@@ -416,6 +445,8 @@ void EventQueue::clear() {
   // while every ring keeps its capacity.
   lanes_used_ = 0;
   lanes_pending_ = 0;
+  tombstones_ = 0;
+  ++epoch_;  // outstanding timer handles go stale
   // Rewind the wheel to window 0 with the node arena and L0 slot table
   // retained, so a warm run schedules through the wheel exactly like a
   // cold one without allocating.

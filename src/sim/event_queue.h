@@ -26,15 +26,24 @@
 // Timer events (fixed relative delay from a monotone "now", e.g. the
 // per-attempt call timeouts) bypass the heap: for a given delay they are
 // scheduled in fire-time order, so each distinct delay gets an O(1) FIFO
-// lane. This matters beyond the O(log n) saved on the timers themselves:
-// call timeouts outlive their (fast) calls by design, so in the heap they
-// accumulate for the whole run and deepen every sift for the transient
-// events doing the real work. pop order stays the exact global (time, seq)
-// order — the pop compares the heap top against each lane front — so runs
-// are byte-identical to an all-heap schedule. Lane FIFOs are ring buffers
-// (not deques) and clear() retains both their capacity and the lane table
+// lane. pop order stays the exact global (time, seq) order — the pop
+// compares the heap top against each lane front — so runs are
+// byte-identical to an all-heap schedule. Lane FIFOs are ring buffers (not
+// deques) and clear() retains both their capacity and the lane table
 // storage, re-assigning lanes in first-use order, so warm-world resets take
 // byte-identical scheduling paths with zero allocation.
+//
+// Lane timers are cancellable. A call's timeout is cancelled the moment the
+// call settles (sim/service.cc), so a finished call no longer pins its
+// objects and a pool slot for the whole timeout. cancel_timer() releases the
+// pool slot and destroys the closure at once, but the lane entry stays
+// behind as a tombstone: it keeps its (time, seq) key and still pops, as a
+// no-op that sets the clock and counts as a processed event. Pop order, the
+// clock sequence and every fingerprint are therefore identical to a run
+// whose cancelled actions simply did nothing. A handle names (lane, ticket,
+// epoch); every clear() — and so every restore_events() — starts a new
+// epoch, which makes older handles no-ops, as are handles whose timer
+// already popped or was already cancelled.
 //
 // Near-future one-shot events (the dense mass an open-loop arrival process
 // plus its per-hop network/processing events produce at mega-topology
@@ -146,14 +155,31 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
+  // Names one lane timer for cancel_timer(). A default-constructed handle
+  // is empty, as is the handle of a timer that fell back to the heap.
+  struct TimerHandle {
+    uint32_t lane = EventPool::kNil;
+    uint32_t epoch = 0;
+    uint64_t ticket = 0;  // position in the lane's push order this epoch
+
+    bool empty() const { return lane == EventPool::kNil; }
+  };
+
   void schedule_at(TimePoint at, Action action);
 
   // Schedules a timer event: `at` must be `delay` after the caller's
   // monotone clock, so same-delay timers are born in fire-time order and
   // append to an O(1) FIFO lane instead of the heap. A non-monotone insert
   // or an exotic delay (lane table full) falls back to schedule_at — the
-  // lane is an optimization, never a semantic.
-  void schedule_timer(TimePoint at, Duration delay, Action action);
+  // lane is an optimization, never a semantic — and returns an empty
+  // handle: such a timer cannot be cancelled and simply runs.
+  TimerHandle schedule_timer(TimePoint at, Duration delay, Action action);
+
+  // Drops a pending lane timer's action now, leaving a tombstone that pops
+  // as a no-op at the timer's (time, seq) (see file comment). Empty and
+  // stale handles — the timer already popped or was cancelled, or the
+  // queue was cleared or restored since — are ignored.
+  void cancel_timer(const TimerHandle& handle);
 
   bool empty() const {
     return heap_.empty() && lanes_pending_ == 0 && wheel_pending_ == 0;
@@ -165,16 +191,17 @@ class EventQueue {
 
   // Removes and runs the earliest event; returns its timestamp. The event's
   // pool slot is recycled before the action runs, so actions that schedule
-  // follow-up events reuse it immediately. When `clock` is non-null it
-  // receives the event's timestamp *before* the action runs — the
-  // simulator's clock update — so the run loop pays one best-entry scan per
-  // event instead of a separate next_time() peek plus the pop's own scan.
+  // follow-up events reuse it immediately; a tombstone runs nothing. When
+  // `clock` is non-null it receives the event's timestamp *before* the
+  // action runs — the simulator's clock update — so the run loop pays one
+  // best-entry scan per event instead of a separate next_time() peek plus
+  // the pop's own scan.
   TimePoint pop_and_run(TimePoint* clock = nullptr);
 
   // Drops all pending events and resets the insertion sequence, so
   // back-to-back runs on a reused queue produce identical event orderings.
   // The pool, the lane table, every lane's ring capacity, and the wheel's
-  // node arena / slot rings are retained.
+  // node arena / slot rings are retained. Starts a new timer-handle epoch.
   void clear();
 
   // Routes one-shot events through the hierarchical timer wheel (default)
@@ -191,7 +218,8 @@ class EventQueue {
   // --- snapshot support (sim/snapshot.h) ---
   // One pending event, flattened out of whichever structure held it. The
   // action is a value copy: EventPool::Action is copyable, and the copy
-  // shares the shared_ptr-held request objects the original captured.
+  // shares the shared_ptr-held request objects the original captured. A
+  // tombstone saves as an empty action and restores as a tombstone.
   struct SavedEvent {
     TimePoint at{};
     uint64_t seq = 0;
@@ -214,7 +242,10 @@ class EventQueue {
 
   // --- pool introspection (tests / benchmarks) ---
   size_t pool_capacity() const { return pool_->capacity(); }
-  size_t free_count() const { return pool_capacity() - size(); }
+  // Tombstones hold no pool slot.
+  size_t free_count() const {
+    return pool_capacity() - (size() - tombstones_);
+  }
 
   // Actual free-list walk (O(free nodes)), as opposed to the arithmetic
   // free_count(). After clear() — including an early-terminated run's
@@ -225,7 +256,8 @@ class EventQueue {
  private:
   static constexpr uint32_t kNil = EventPool::kNil;
 
-  // One heap slot: sort key plus the pool index of the action.
+  // One heap slot: sort key plus the pool index of the action; kNil marks a
+  // tombstone.
   struct Entry {
     TimePoint at{};
     uint64_t seq = 0;
@@ -252,6 +284,7 @@ class EventQueue {
     const Entry& at(size_t i) const {
       return buf[(head + i) & (buf.size() - 1)];
     }
+    Entry& at(size_t i) { return buf[(head + i) & (buf.size() - 1)]; }
     void push_back(const Entry& e) {
       if (count == buf.size()) grow();
       buf[(head + count) & (buf.size() - 1)] = e;
@@ -272,6 +305,7 @@ class EventQueue {
   struct Lane {
     Duration delay{};
     Ring fifo;
+    uint64_t issued = 0;  // tickets handed out this epoch
   };
   static constexpr size_t kMaxLanes = 8;
 
@@ -332,6 +366,7 @@ class EventQueue {
     wfree_ = idx;
   }
   void release_wheel_entries();
+  SavedEvent saved(const Entry& e) const;
 
   EventPool own_pool_;  // used only when no external pool was supplied
   EventPool* pool_;
@@ -339,6 +374,8 @@ class EventQueue {
   std::vector<Lane> lanes_;  // timer FIFOs, one per delay; storage retained
   size_t lanes_used_ = 0;    // lanes live this run (first-use order)
   size_t lanes_pending_ = 0;  // events across all live lanes
+  size_t tombstones_ = 0;     // pending entries without a pool slot
+  uint32_t epoch_ = 0;        // bumped by clear(); stamps timer handles
 
   bool wheel_enabled_ = true;
   std::vector<WheelNode> wnodes_;  // wheel node arena; grows to peak, kept

@@ -25,6 +25,12 @@ using logstore::MessageKind;
 // response record when a response (real or synthesized by an Abort) is
 // observed, with the Gremlin-injected delay accounted separately so the
 // Assertion Checker can evaluate latencies with or without interference.
+//
+// The call lives exactly as long as some pending event closure holds it.
+// The attempt's timeout timer is one such closure; on_attempt_result
+// cancels it when the attempt settles, so a call that finished before its
+// timeout is freed — with the request context its callback holds — as soon
+// as the event that settled it returns, not `timeout` later.
 class OutboundCall : public std::enable_shared_from_this<OutboundCall>,
                      public SnapshotParticipant {
  public:
@@ -87,8 +93,12 @@ class OutboundCall : public std::enable_shared_from_this<OutboundCall>,
     const TimePoint attempt_start = sim().now();
     if (policy_.has_timeout()) {
       auto self = shared_from_this();
-      sim().schedule_timer(policy_.timeout, [self, gen, attempt_start] {
-        if (gen != self->generation_) return;  // a response won the race
+      timeout_ = sim().schedule_timer(policy_.timeout, [self, gen,
+                                                        attempt_start] {
+        // A rival outcome settled the attempt first. Normally it cancelled
+        // this timer, but a timer restored from a snapshot or placed on the
+        // heap fallback has no live handle and runs out here.
+        if (gen != self->generation_) return;
         // The caller gave up: its sidecar observes the client closing the
         // connection and records the exchange as concluded with no
         // response (status 0) — which is how a timeout becomes visible to
@@ -300,6 +310,10 @@ class OutboundCall : public std::enable_shared_from_this<OutboundCall>,
     if (gen != generation_) return;  // a rival outcome already settled it
     ++generation_;                   // invalidate the losing outcome
     ++completed_attempts_;
+    // Every caller runs inside an event closure holding this call, so
+    // dropping the timeout's reference cannot free it mid-method. A timer
+    // that already fired, or an empty handle, makes this a no-op.
+    sim().cancel_timer(timeout_);
 
     const bool failed = resp.failed();
     if (policy_.has_circuit_breaker()) {
@@ -363,6 +377,10 @@ class OutboundCall : public std::enable_shared_from_this<OutboundCall>,
     return state;
   }
   void snapshot_load(uint64_t state) override {
+    // The restore started a new queue epoch, so no handle this call holds
+    // can reach a restored timer; its restored timeout (if any) runs out as
+    // a no-op. Every sibling starts with the same empty handle.
+    timeout_ = {};
     generation_ = state & 0xffffffffULL;
     completed_attempts_ = static_cast<int>((state >> 32) & 0xffffULL);
     holding_bulkhead_ = (state & (1ULL << 48)) != 0;
@@ -388,6 +406,7 @@ class OutboundCall : public std::enable_shared_from_this<OutboundCall>,
   // 4-byte handles (request_.method/.uri are already symbols).
   const Symbol src_sym_;
   const Symbol dst_sym_;
+  EventQueue::TimerHandle timeout_;  // the current attempt's timeout
   uint64_t generation_ = 0;
   int completed_attempts_ = 0;
   bool holding_bulkhead_ = false;

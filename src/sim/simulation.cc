@@ -24,11 +24,12 @@ void Simulation::schedule_at(TimePoint at, EventQueue::Action action) {
   queue_.schedule_at(at < now_ ? now_ : at, std::move(action));
 }
 
-void Simulation::schedule_timer(Duration delay, EventQueue::Action action) {
+EventQueue::TimerHandle Simulation::schedule_timer(Duration delay,
+                                                  EventQueue::Action action) {
   if (delay < kDurationZero) delay = kDurationZero;
   // now_ is monotone, so same-delay timers are born in fire-time order —
   // exactly the lane invariant schedule_timer needs.
-  queue_.schedule_timer(now_ + delay, delay, std::move(action));
+  return queue_.schedule_timer(now_ + delay, delay, std::move(action));
 }
 
 size_t Simulation::run() {

@@ -58,8 +58,16 @@ class Simulation {
   void schedule_at(TimePoint at, EventQueue::Action action);
   // Like schedule(), but marks the event as a fixed-delay timer so the
   // queue can keep it on an O(1) FIFO lane (see EventQueue). Identical
-  // firing order, cheaper for long-lived timers like call timeouts.
-  void schedule_timer(Duration delay, EventQueue::Action action);
+  // firing order, cheaper for long-lived timers like call timeouts. The
+  // handle cancels the timer (cancel_timer); callers that never cancel
+  // ignore it.
+  EventQueue::TimerHandle schedule_timer(Duration delay,
+                                         EventQueue::Action action);
+  // Drops a pending timer's action; it still pops, as a no-op, at its
+  // original time (see EventQueue::cancel_timer). Stale handles are no-ops.
+  void cancel_timer(const EventQueue::TimerHandle& handle) {
+    queue_.cancel_timer(handle);
+  }
 
   // Runs events until the queue drains; returns the number processed.
   size_t run();

@@ -252,7 +252,9 @@ TEST(RunnerTest, CustomHookRunsImperativeScenarios) {
   e.id = "custom";
   e.app = AppSpec::quickstart(3, msec(50));
   e.custom = [](control::TestSession* session) {
-    session->apply(control::FailureSpec::abort_edge("serviceA", "serviceB"));
+    EXPECT_TRUE(
+        session->apply(control::FailureSpec::abort_edge("serviceA", "serviceB"))
+            .ok());
     const auto load = session->run_load("user", "serviceA", 40);
     (void)session->collect();
     std::vector<control::CheckResult> checks;

@@ -144,8 +144,9 @@ TEST(EventQueueTest, ClearDropsPendingAndReplaysIdentically) {
 TEST(EventQueueTest, ClearReturnsEveryNodeToTheFreeList) {
   EventQueue queue;
   // Grow the pool across several slabs, drain part of the heap, then clear
-  // mid-flight. free_count() is arithmetic (capacity - heap size); walking
-  // the actual free list proves no node was leaked off both structures.
+  // mid-flight. free_count() is arithmetic (capacity - pending events that
+  // hold a slot); walking the actual free list proves no node was leaked
+  // off both structures.
   for (int i = 0; i < 900; ++i) {
     queue.schedule_at(TimePoint{msec(i)}, [] {});
   }

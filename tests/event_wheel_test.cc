@@ -7,9 +7,18 @@
 // random schedule programs through both configurations and requires
 // byte-identical pop sequences; directed tests pin the cascade-FIFO
 // invariant and the clear()/warm-reset hygiene contract.
+//
+// Timer cancellation is held to the same standard: a cancelled timer stays
+// behind as a tombstone that pops as a no-op, so a run with cancels must pop
+// the same clock sequence as the same run without them, in which the
+// cancelled actions just do nothing. The cancellation fuzz replays seeded
+// programs with random cancels — many of them stale: the timer already
+// fired, or the queue was cleared or restored since — against that model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -222,6 +231,267 @@ TEST(EventWheelTest, WarmReplayAfterClearMatchesFreshQueue) {
   }
   reused.clear();
   EXPECT_EQ(replay(reused, ops), replay_fresh(ops, true));
+}
+
+// ------------------------------------------------------------ cancellation
+
+// A make_program() schedule with cancels, clears and save/restore round
+// trips spliced in. A cancel picks one of the timers scheduled so far at
+// replay time: with an odd `pick` one of the last four, with an even one
+// any of them, so live, stale and repeated cancels all occur.
+struct CancelOp {
+  enum Kind { kBase, kCancel, kClear, kSaveRestore };
+  Kind kind = kBase;
+  Op base;
+  uint64_t pick = 0;
+};
+
+std::vector<CancelOp> make_cancel_program(uint64_t seed, size_t length) {
+  Rng rng(seed ^ 0xca9ce1);
+  std::vector<CancelOp> ops;
+  for (const Op& op : make_program(seed, length)) {
+    ops.push_back({CancelOp::kBase, op, 0});
+    const uint64_t roll = rng.next_below(100);
+    if (roll < 25) {
+      ops.push_back({CancelOp::kCancel, {}, rng.next_below(1u << 20)});
+    } else if (roll < 27) {
+      ops.push_back({CancelOp::kClear, {}, 0});
+    } else if (roll < 30) {
+      ops.push_back({CancelOp::kSaveRestore, {}, 0});
+    }
+  }
+  return ops;
+}
+
+// What the model saw the cancels hit (coverage, not compared).
+struct CancelMix {
+  size_t live = 0;
+  size_t fired = 0;     // the timer had already popped
+  size_t old_era = 0;   // a clear() or restore_events() came in between
+  size_t heap = 0;      // empty handle: the timer fell back to the heap
+};
+
+struct CancelTrace {
+  std::vector<Popped> ran;       // actions that ran, in order
+  std::vector<TimePoint> clock;  // every pop's time, tombstones included
+  std::vector<size_t> sizes;     // queue size after every op
+  bool operator==(const CancelTrace&) const = default;
+};
+
+// Replays `ops`. With `cancel` the queue's cancel_timer() does the work and
+// actions run unconditionally. Without it nothing is cancelled; the model
+// instead marks the timers a cancel would have caught — still pending,
+// lane-scheduled, and scheduled since the last clear or restore — and their
+// actions do nothing when they pop.
+CancelTrace replay_cancels(EventQueue& queue, const std::vector<CancelOp>& ops,
+                           bool cancel, CancelMix* mix = nullptr) {
+  struct Timer {
+    EventQueue::TimerHandle handle;
+    size_t label = 0;
+    uint64_t era = 0;  // clears + restores before it was scheduled
+  };
+  CancelTrace trace;
+  std::vector<Timer> timers;
+  std::vector<bool> fired;  // by label; shared by restored action copies
+  std::vector<bool> dead;
+  std::vector<EventQueue::SavedEvent> saved;
+  uint64_t era = 0;
+  TimePoint now{};
+  int label = 0;
+  const auto pop = [&] {
+    now = queue.pop_and_run();
+    trace.clock.push_back(now);
+  };
+  for (const CancelOp& op : ops) {
+    switch (op.kind) {
+      case CancelOp::kBase:
+        switch (op.base.kind) {
+          case Op::kScheduleAt: {
+            const TimePoint at = now + Duration(op.base.arg);
+            const int l = label++;
+            fired.push_back(false);
+            dead.push_back(false);
+            queue.schedule_at(at, [&trace, at, l] {
+              trace.ran.push_back({at, l});
+            });
+            break;
+          }
+          case Op::kScheduleTimer: {
+            const Duration delay{kTimerDelays[op.base.arg]};
+            const TimePoint at = now + delay;
+            const int l = label++;
+            fired.push_back(false);
+            dead.push_back(false);
+            const EventQueue::TimerHandle handle = queue.schedule_timer(
+                at, delay, [&trace, &fired, &dead, at, l] {
+                  fired[static_cast<size_t>(l)] = true;
+                  if (dead[static_cast<size_t>(l)]) return;
+                  trace.ran.push_back({at, l});
+                });
+            timers.push_back({handle, static_cast<size_t>(l), era});
+            break;
+          }
+          case Op::kPop:
+            if (!queue.empty()) pop();
+            break;
+        }
+        break;
+      case CancelOp::kCancel: {
+        if (timers.empty()) break;
+        const size_t n = timers.size();
+        const size_t i = (op.pick & 1) != 0
+                             ? n - 1 - (op.pick >> 1) % std::min<size_t>(n, 4)
+                             : (op.pick >> 1) % n;
+        const Timer& t = timers[i];
+        if (cancel) {
+          queue.cancel_timer(t.handle);
+        } else if (!fired[t.label] && !t.handle.empty() && t.era == era) {
+          dead[t.label] = true;
+          if (mix != nullptr) ++mix->live;
+        } else if (mix != nullptr) {
+          ++(t.handle.empty()   ? mix->heap
+             : fired[t.label]   ? mix->fired
+                                : mix->old_era);
+        }
+        break;
+      }
+      case CancelOp::kClear:
+        queue.clear();
+        ++era;
+        // Pending tombstones included, every pool slot is free again.
+        EXPECT_EQ(queue.free_list_length(), queue.pool_capacity());
+        break;
+      case CancelOp::kSaveRestore:
+        queue.save_events(&saved);
+        queue.restore_events(saved, queue.next_seq());
+        ++era;
+        break;
+    }
+    trace.sizes.push_back(queue.size());
+    EXPECT_EQ(queue.free_list_length(), queue.free_count());
+  }
+  while (!queue.empty()) pop();
+  return trace;
+}
+
+TEST(EventWheelDifferentialTest, CancelsMatchNoOpActionsOver300SeededSchedules) {
+  size_t ran_cancelled = 0;
+  CancelMix mix;
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    const std::vector<CancelOp> ops = make_cancel_program(seed, 200);
+    EventQueue model;
+    const CancelTrace expected = replay_cancels(model, ops, false, &mix);
+    for (const bool wheel : {true, false}) {
+      EventQueue queue;
+      queue.set_wheel_enabled(wheel);
+      const CancelTrace got = replay_cancels(queue, ops, true);
+      ASSERT_EQ(got.clock, expected.clock)
+          << "clock diverged at seed " << seed << " wheel " << wheel;
+      ASSERT_EQ(got.ran, expected.ran)
+          << "actions diverged at seed " << seed << " wheel " << wheel;
+      ASSERT_EQ(got.sizes, expected.sizes)
+          << "sizes diverged at seed " << seed << " wheel " << wheel;
+    }
+    // Every popped event either ran or was a (model-)cancelled no-op.
+    ran_cancelled += expected.clock.size() - expected.ran.size();
+  }
+  // The programs must exercise every kind of cancel.
+  EXPECT_GT(ran_cancelled, 500u);
+  EXPECT_GT(mix.live, 1000u);
+  EXPECT_GT(mix.fired, 1000u);
+  EXPECT_GT(mix.old_era, 1000u);
+  EXPECT_GT(mix.heap, 100u);
+}
+
+TEST(EventWheelTest, CancelledTimerPopsAsClockAdvancingNoOp) {
+  EventQueue queue;
+  std::vector<int> ran;
+  const Duration delay = msec(5);
+  std::vector<EventQueue::TimerHandle> handles;
+  for (int i = 0; i < 3; ++i) {
+    handles.push_back(queue.schedule_timer(TimePoint{msec(i)} + delay, delay,
+                                           [&ran, i] { ran.push_back(i); }));
+  }
+  queue.cancel_timer(handles[1]);
+  queue.cancel_timer(handles[1]);  // a repeat is a no-op
+  EXPECT_EQ(queue.size(), 3u);     // the tombstone is still pending
+  EXPECT_EQ(queue.free_count(), queue.pool_capacity() - 2);
+  EXPECT_EQ(queue.free_list_length(), queue.free_count());
+  std::vector<TimePoint> clock;
+  while (!queue.empty()) clock.push_back(queue.pop_and_run());
+  EXPECT_EQ(ran, (std::vector<int>{0, 2}));
+  EXPECT_EQ(clock, (std::vector<TimePoint>{msec(5), msec(6), msec(7)}));
+  queue.cancel_timer(handles[0]);  // already fired: no-op
+  EXPECT_EQ(queue.free_list_length(), queue.pool_capacity());
+}
+
+TEST(EventWheelTest, CancelDropsTheClosureAtOnce) {
+  EventQueue queue;
+  auto pinned = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = pinned;
+  const auto handle = queue.schedule_timer(
+      TimePoint{msec(500)}, msec(500), [p = std::move(pinned)] { (void)p; });
+  ASSERT_FALSE(handle.empty());
+  EXPECT_FALSE(watch.expired());
+  queue.cancel_timer(handle);
+  EXPECT_TRUE(watch.expired());  // released now, not at t = 500 ms
+}
+
+TEST(EventWheelTest, ClearWithPendingTombstonesFreesEveryPoolSlot) {
+  EventQueue queue;
+  std::vector<EventQueue::TimerHandle> handles;
+  for (int i = 0; i < 600; ++i) {
+    handles.push_back(queue.schedule_timer(TimePoint{msec(i)} + msec(100),
+                                           msec(100), [] {}));
+    queue.schedule_at(TimePoint{msec(i)}, [] {});
+  }
+  for (size_t i = 0; i < handles.size(); i += 2) queue.cancel_timer(handles[i]);
+  for (int i = 0; i < 100; ++i) queue.pop_and_run();
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.free_list_length(), queue.pool_capacity());
+  EXPECT_EQ(queue.free_count(), queue.pool_capacity());
+
+  // Handles from before the clear must not reach the new epoch's timers,
+  // which reuse the same lane and ticket numbers.
+  int ran = 0;
+  const auto fresh = queue.schedule_timer(TimePoint{msec(100)}, msec(100),
+                                          [&ran] { ++ran; });
+  EXPECT_EQ(fresh.lane, handles[0].lane);
+  EXPECT_EQ(fresh.ticket, handles[0].ticket);
+  queue.cancel_timer(handles[0]);
+  while (!queue.empty()) queue.pop_and_run();
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(EventWheelTest, SaveRestorePopsTombstonesAsNoOps) {
+  EventQueue queue;
+  std::vector<int> ran;
+  std::vector<EventQueue::TimerHandle> handles;
+  for (int i = 0; i < 4; ++i) {
+    handles.push_back(queue.schedule_timer(TimePoint{msec(10 + i)}, msec(10),
+                                           [&ran, i] { ran.push_back(i); }));
+  }
+  queue.cancel_timer(handles[1]);
+  queue.cancel_timer(handles[2]);
+  std::vector<EventQueue::SavedEvent> saved;
+  queue.save_events(&saved);
+  ASSERT_EQ(saved.size(), 4u);
+  size_t empty_actions = 0;
+  for (const auto& ev : saved) empty_actions += !ev.action;
+  EXPECT_EQ(empty_actions, 2u);
+
+  queue.restore_events(saved, queue.next_seq());
+  EXPECT_EQ(queue.size(), 4u);
+  EXPECT_EQ(queue.free_count(), queue.pool_capacity() - 2);
+  EXPECT_EQ(queue.free_list_length(), queue.free_count());
+  queue.cancel_timer(handles[3]);  // restored: the old handle is stale
+  std::vector<TimePoint> clock;
+  while (!queue.empty()) clock.push_back(queue.pop_and_run());
+  EXPECT_EQ(ran, (std::vector<int>{0, 3}));
+  EXPECT_EQ(clock, (std::vector<TimePoint>{msec(10), msec(11), msec(12),
+                                           msec(13)}));
+  EXPECT_EQ(queue.free_list_length(), queue.pool_capacity());
 }
 
 }  // namespace

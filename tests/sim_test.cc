@@ -4,6 +4,9 @@
 // logging.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "faults/rule.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
@@ -569,6 +572,105 @@ TEST(SimPolicyTest, DeterministicReplay) {
   };
   EXPECT_EQ(run(1), run(1));
   EXPECT_NE(run(1), run(2));
+}
+
+// ------------------------------------------------------ call lifetimes
+
+// A two-hop world whose middle service "a" runs a custom handler that
+// exposes its RequestContext through `watch`: the context lives as long as
+// a's outbound call to "b" keeps the handler's callback alive.
+struct WatchedCallFixture {
+  Simulation sim;
+  SimService* a = nullptr;
+  std::weak_ptr<RequestContext> watch;
+
+  explicit WatchedCallFixture(resilience::CallPolicy policy) {
+    ServiceConfig b;
+    b.name = "b";
+    b.processing_time = msec(1);
+    sim.add_service(b);
+    ServiceConfig cfg;
+    cfg.name = "a";
+    cfg.processing_time = kDurationZero;
+    cfg.dependencies = {"b"};
+    cfg.default_policy = policy;
+    cfg.handler = [this](std::shared_ptr<RequestContext> ctx) {
+      watch = ctx;
+      ctx->call("b", [ctx](const SimResponse& r) {
+        ctx->respond(r.failed() ? 500 : 200, "done");
+      });
+    };
+    a = sim.add_service(cfg);
+  }
+};
+
+TEST(CallLifetimeTest, SettledCallReleasesItsTimeoutClosure) {
+  resilience::CallPolicy policy;
+  policy.timeout = sec(10);
+  WatchedCallFixture f(policy);
+  bool expired_at_reply = false;
+  TimePoint replied{};
+  f.sim.inject("user", "a", SimRequest{.request_id = "test-0"},
+               [&](const SimResponse& r) {
+                 EXPECT_EQ(r.status, 200);
+                 replied = f.sim.now();
+                 expired_at_reply = f.watch.expired();
+               });
+  f.sim.run();
+  // Link 0.5 ms, b's 1 ms, link 0.5 ms, then the reply's 0.5 ms link. By
+  // then the settled a->b call has cancelled its 10 s timeout, which was
+  // the last holder of a's request context.
+  EXPECT_EQ(replied, msec(3));
+  EXPECT_TRUE(expired_at_reply);
+  // The cancelled timeout still pops, as a no-op, at its original time.
+  EXPECT_EQ(f.sim.now(), usec(500) + sec(10));
+}
+
+TEST(CallLifetimeTest, TimeoutThatWinsIsLoggedAndTheRetryArmsAFreshOne) {
+  resilience::CallPolicy policy;
+  policy.timeout = msec(200);
+  policy.retry.max_retries = 1;
+  policy.retry.base_backoff = msec(10);
+  WatchedCallFixture f(policy);
+  FaultRule rule = FaultRule::delay_rule("a", "b", msec(300));
+  rule.max_matches = 1;  // only the first attempt is held past its timeout
+  ASSERT_TRUE(f.a->instance(0).agent()->install_rules({rule}).ok());
+
+  SimResponse got;
+  f.sim.inject("user", "a", SimRequest{.request_id = "test-0"},
+               [&](const SimResponse& r) { got = r; });
+  // The retry answers at 212.5 ms and the delayed first attempt's late
+  // response arrives at 302.5 ms. Only the retry's timeout, due at
+  // 410.5 ms, could still hold the call (and with it a's context) at
+  // 350 ms — unless the settled retry cancelled it.
+  f.sim.run_until(msec(350));
+  EXPECT_EQ(got.status, 200);
+  EXPECT_TRUE(f.watch.expired());
+  f.sim.run();
+
+  auto records = f.a->instance(0).agent()->fetch_records();
+  ASSERT_TRUE(records.ok());
+  std::vector<logstore::LogRecord> requests;
+  std::vector<logstore::LogRecord> responses;
+  for (const auto& r : *records) {
+    (r.kind == MessageKind::kRequest ? requests : responses).push_back(r);
+  }
+  ASSERT_EQ(requests.size(), 2u);
+  ASSERT_EQ(responses.size(), 3u);
+  const TimePoint attempt_start = requests[0].timestamp;
+  EXPECT_EQ(attempt_start, usec(500));
+  // The caller gave up at attempt_start + timeout: status 0, latency equal
+  // to the timeout.
+  EXPECT_EQ(responses[0].status, 0);
+  EXPECT_EQ(responses[0].timestamp, attempt_start + msec(200));
+  EXPECT_EQ(responses[0].latency, msec(200));
+  // The retry left after the backoff and succeeded.
+  EXPECT_EQ(requests[1].timestamp, attempt_start + msec(210));
+  EXPECT_EQ(responses[1].status, 200);
+  EXPECT_EQ(responses[1].timestamp, attempt_start + msec(212));
+  // The first attempt's late response is still observed.
+  EXPECT_EQ(responses[2].status, 200);
+  EXPECT_EQ(responses[2].injected_delay, msec(300));
 }
 
 }  // namespace

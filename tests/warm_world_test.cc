@@ -194,7 +194,9 @@ TEST(WarmWorldFallbackTest, CustomExperimentsRunCold) {
   e.id = "custom";
   e.app = AppSpec::quickstart(3, msec(50));
   e.custom = [](control::TestSession* session) {
-    session->apply(control::FailureSpec::abort_edge("serviceA", "serviceB"));
+    EXPECT_TRUE(
+        session->apply(control::FailureSpec::abort_edge("serviceA", "serviceB"))
+            .ok());
     const auto load = session->run_load("user", "serviceA", 20);
     (void)session->collect();
     control::CheckResult saw_load;
