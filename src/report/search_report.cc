@@ -57,6 +57,7 @@ Json SearchReport::to_json() const {
   space["errors"] = static_cast<int64_t>(o.errors);
   space["shrink_runs"] = static_cast<int64_t>(o.shrink_runs);
   space["shrink_executed"] = static_cast<int64_t>(o.shrink_executed);
+  space["verify_runs"] = static_cast<int64_t>(o.verify_runs);
   j["space"] = space;
 
   Json findings = Json::array();
@@ -124,6 +125,8 @@ std::string SearchReport::to_markdown() const {
   out += "| shrink probes | " + std::to_string(o.shrink_runs) +
          " requested, " + std::to_string(o.shrink_executed) +
          " simulated |\n";
+  out += "| cold reproducer replays | " + std::to_string(o.verify_runs) +
+         " |\n";
   out += "\n";
 
   out += "Baseline: " + std::to_string(o.baseline_requests) +
@@ -135,7 +138,7 @@ std::string SearchReport::to_markdown() const {
     out += "## Minimal reproducers\n\n";
     for (const auto& f : o.findings) {
       out += "- **" + f.minimal + "**";
-      if (f.flaky) out += " — FLAKY (did not reproduce on re-run)";
+      if (f.flaky) out += " — FLAKY (did not reproduce on a cold replay)";
       out += "\n";
       out += "  - violates: `" + f.signature + "`\n";
       out += "  - replay: seed " + std::to_string(f.seed) + ", " +

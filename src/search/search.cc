@@ -172,6 +172,9 @@ SearchOutcome run_search(const campaign::AppSpec& app,
       campaign::ExecOptions shrink_exec;
       shrink_exec.keep_latencies = false;
       shrink_exec.early_exit = options.early_exit;
+      // The batch result is the shrink's reference: the batch ran this
+      // experiment with the probes' options, so a re-run could only repeat
+      // it. verify_reproducers below checks determinism instead.
       ShrinkResult shrunk = shrink(
           experiments[i],
           [&shrink_exec, &world](const campaign::Experiment& e) {
@@ -181,7 +184,7 @@ SearchOutcome run_search(const campaign::AppSpec& app,
             return world ? world->run(e, shrink_exec)
                          : campaign::CampaignRunner::run_one(e, shrink_exec);
           },
-          options.shrink_options, &memo);
+          options.shrink_options, &memo, &r);
       outcome.shrink_runs += shrunk.runs;
       outcome.shrink_executed += shrunk.executed;
       finding.flaky = shrunk.flaky;
@@ -211,10 +214,42 @@ SearchOutcome run_search(const campaign::AppSpec& app,
     }
   }
 
+  if (options.shrink) {
+    // Every failing combination is its own finding without shrinking, and
+    // its batch result already is a run of it; replays pay off only here.
+    campaign::ExecOptions replay_exec;
+    replay_exec.keep_latencies = false;
+    replay_exec.early_exit = options.early_exit;
+    replay_exec.preserve_log = true;
+    verify_reproducers(
+        baseline_experiment,
+        [&replay_exec](const campaign::Experiment& e) {
+          return campaign::CampaignRunner::run_one(e, replay_exec);
+        },
+        &outcome);
+  }
+
   outcome.ok = true;
   outcome.wall_clock = std::chrono::duration_cast<Duration>(
       std::chrono::steady_clock::now() - start);
   return outcome;
+}
+
+void verify_reproducers(const campaign::Experiment& base, const RunFn& run,
+                        SearchOutcome* outcome) {
+  outcome->verify_runs = 0;
+  for (Finding& finding : outcome->findings) {
+    if (finding.flaky) continue;
+    campaign::Experiment replay = base;
+    replay.id = finding.minimal;
+    replay.failures = finding.faults;
+    replay.seed = finding.seed;
+    replay.load.count = finding.load_count;
+    const campaign::ExperimentResult r = run(replay);
+    ++outcome->verify_runs;
+    finding.flaky = !r.ok || r.passed() ||
+                    control::failure_signature(r.checks) != finding.signature;
+  }
 }
 
 }  // namespace gremlin::search

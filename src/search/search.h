@@ -4,8 +4,11 @@
 //   optionally pairwise-covering)  →  replay the fault-free baseline and
 //   prune combinations the observed call graph rules out  →  run the
 //   survivors in parallel on the campaign engine  →  shrink every failure
-//   to a locally-minimal reproducer with a replayable seed (one ProbeMemo
-//   per search answers reduction probes an earlier shrink simulated).
+//   to a locally-minimal reproducer with a replayable seed, starting from
+//   the batch's own result (one ProbeMemo per search answers reduction
+//   probes an earlier shrink simulated)  →  replay each distinct minimal
+//   reproducer once on a fresh world and mark it flaky unless it fails
+//   the same way.
 //
 // The output is a SearchOutcome: the funnel counters (generated / pruned /
 // run / failed), per-combination verdicts, and deduplicated minimal
@@ -38,9 +41,9 @@ struct SearchOptions {
   uint64_t seed = 42;
   int threads = 0;        // campaign workers; 0 = hardware concurrency
   // Worker processes for the combination campaign (multi-process sharding,
-  // campaign/process_pool.h). Baseline replay and shrink probes stay
-  // in-process — they are sequential and reuse one kept-alive world.
-  // Findings are identical at any procs count.
+  // campaign/process_pool.h). Baseline replay, shrink probes and the cold
+  // reproducer replays stay in-process and sequential; the probes reuse one
+  // kept-alive world. Findings are identical at any procs count.
   int procs = 1;
   bool prune = true;      // false: run every generated combination
   bool shrink = true;     // false: report failures unshrunk
@@ -53,7 +56,8 @@ struct SearchOptions {
 
   // Warm-world execution for the baseline replay, the campaign batch, and
   // every shrink probe (byte-identical results; see RunnerOptions). The
-  // baseline's world is kept alive and reused by the shrink probes.
+  // baseline's world is kept alive and reused by the shrink probes. The
+  // reproducer replays always run cold.
   bool warm = true;
   ShrinkOptions shrink_options;
 };
@@ -77,7 +81,7 @@ struct Finding {
   uint64_t seed = 0;         // replays deterministically with this seed
   size_t load_count = 0;     // shrunk request count
   std::string signature;     // failing checks (control::failure_signature)
-  bool flaky = false;        // failure did not reproduce on re-run
+  bool flaky = false;        // did not fail the same way on a cold replay
   size_t shrink_runs = 0;
   size_t faults_before = 0;
   size_t occurrences = 1;    // failing combinations that shrank to this
@@ -110,6 +114,7 @@ struct SearchOutcome {
   size_t errors = 0;
   size_t shrink_runs = 0;  // probes requested (memo hits included)
   size_t shrink_executed = 0;  // probes simulated (repeats answered by memo)
+  size_t verify_runs = 0;  // cold replays, one per non-flaky reproducer
 
   std::vector<ComboOutcome> combos;   // generation order
   std::vector<Finding> findings;      // distinct minimal reproducers
@@ -120,5 +125,13 @@ struct SearchOutcome {
 
 SearchOutcome run_search(const campaign::AppSpec& app,
                          const SearchOptions& options = {});
+
+// The determinism check run_search ends with: replays each non-flaky
+// finding once through `run`, as `base` (app, client, target, load shape,
+// checks) with the finding's faults, seed and load count, and marks it
+// flaky unless the replay fails with the finding's signature. Sets
+// outcome->verify_runs to the number of replays.
+void verify_reproducers(const campaign::Experiment& base, const RunFn& run,
+                        SearchOutcome* outcome);
 
 }  // namespace gremlin::search

@@ -35,7 +35,8 @@ void ProbeMemo::record(const campaign::Experiment& e,
 }
 
 ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run,
-                    const ShrinkOptions& options, ProbeMemo* memo) {
+                    const ShrinkOptions& options, ProbeMemo* memo,
+                    const campaign::ExperimentResult* reference) {
   const RunFn exec =
       run ? run : [](const campaign::Experiment& e) {
         campaign::ExecOptions lean;
@@ -48,19 +49,25 @@ ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run,
   result.faults_before = result.faults_after = failing.failures.size();
   result.load_before = result.load_after = failing.load.count;
 
-  // Verification re-run: the failure must reproduce deterministically
-  // before any reduction is meaningful. It is never answered from the
-  // memo, only recorded in it.
-  const campaign::ExperimentResult reference = exec(failing);
+  // The reference run fixes the failure mode every reduction must keep.
+  // Without a caller-supplied result it is a verification re-run, which
+  // must reproduce the failure before any reduction is meaningful. Either
+  // way it counts as one requested run and is recorded in the memo, never
+  // answered from it.
+  campaign::ExperimentResult rerun;
+  if (!reference) {
+    rerun = exec(failing);
+    ++result.executed;
+    reference = &rerun;
+  }
   ++result.runs;
-  ++result.executed;
-  if (memo) memo->record(failing, reference);
-  if (!reference.ok || reference.passed()) {
+  if (memo) memo->record(failing, *reference);
+  if (!reference->ok || reference->passed()) {
     result.flaky = true;
     return result;
   }
   result.reproduced = true;
-  result.signature = control::failure_signature(reference.checks);
+  result.signature = control::failure_signature(reference->checks);
 
   // A candidate counts as reproducing only when the identical set of checks
   // fails — shrinking must preserve the failure mode, not just "some

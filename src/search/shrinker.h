@@ -14,8 +14,11 @@
 //      1-minimality in O(k²) runs).
 //   2. Load shrinking: halve the request count while the failure persists.
 //
-// A failure that does not reproduce on the verification re-run is reported
-// as flaky (`flaky = true`) and returned unshrunk rather than looping.
+// Every reduction is compared against one reference run of the failing
+// experiment. run_search passes the campaign batch's own result for it;
+// without one the shrinker executes a verification re-run. A reference
+// that does not fail is reported as flaky (`flaky = true`) and the input
+// is returned unshrunk rather than looping.
 //
 // Many shrinks in one search probe the same reductions (every failing pair
 // sharing a fault probes that fault alone). A ProbeMemo shared across those
@@ -37,8 +40,9 @@ using RunFn =
     std::function<campaign::ExperimentResult(const campaign::Experiment&)>;
 
 struct ShrinkOptions {
-  // Total run budget, counting the verification re-run. The shrinker
-  // returns the best reduction found when the budget is exhausted.
+  // Total run budget, counting the reference run (supplied or re-run) as
+  // one. The shrinker returns the best reduction found when the budget is
+  // exhausted.
   size_t max_runs = 48;
 
   bool shrink_load = true;
@@ -77,7 +81,7 @@ class ProbeMemo {
 
 struct ShrinkResult {
   campaign::Experiment minimal;  // locally-minimal reproducer (or the input)
-  bool reproduced = false;       // verification re-run failed as expected
+  bool reproduced = false;       // the reference run failed as expected
   bool flaky = false;            // it passed instead: not deterministic
   std::string signature;         // preserved failure signature
   size_t runs = 0;               // probes requested, memo hits included
@@ -95,12 +99,16 @@ struct ShrinkResult {
 };
 
 // Shrinks `failing` (an experiment whose run failed at least one check).
-// With a memo, reduction candidates already in it are not re-run; the
-// verification re-run always executes (and is recorded), so flaky detection
-// still compares two real executions. `runs`, and with it the max_runs
-// budget, is the same with or without a memo.
+// `reference`, when given, is a result of `failing` run with the same exec
+// options as `run` (run_search passes the campaign batch's); it is used
+// instead of executing a verification re-run. Without it the re-run always
+// executes, memo or not. Either way the reference counts as one run and is
+// recorded in the memo. With a memo, reduction candidates already in it are
+// not re-run. `runs`, and with it the max_runs budget, is the same with or
+// without a memo or a supplied reference; only `executed` differs.
 ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run = {},
                     const ShrinkOptions& options = {},
-                    ProbeMemo* memo = nullptr);
+                    ProbeMemo* memo = nullptr,
+                    const campaign::ExperimentResult* reference = nullptr);
 
 }  // namespace gremlin::search

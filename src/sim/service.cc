@@ -749,7 +749,14 @@ void ServiceInstance::restore_snapshot(const InstanceSnapshot& snap,
   // installed no rules, so the agent's rule engine is pristine both cold
   // and restored); the snapshot then overlays what the prefix mutated.
   agent_->reset(seed);
-  agent_->restore_records(snap.agent_records, snap.agent_recording);
+  // reset() emptied the observation buffer, so an empty snapshot buffer
+  // (always so when the prefix ran with capture off) needs neither a copy
+  // nor the agent's lock.
+  if (snap.agent_records.empty()) {
+    agent_->set_recording(snap.agent_recording);
+  } else {
+    agent_->restore_records(snap.agent_records, snap.agent_recording);
+  }
   // Breakers/bulkheads created after the snapshot (lazily, by a later
   // sibling) reset to the pristine state a cold run's lazily created ones
   // would start in; the first-N restore in place. Never shrink: DepInfo

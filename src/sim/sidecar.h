@@ -66,10 +66,11 @@ class SimAgent : public topology::AgentHandle {
     std::lock_guard lock(mu_);
     return records_;
   }
-  void restore_records(logstore::RecordList records, bool recording) {
+  // Copies into the live buffer, reusing its capacity.
+  void restore_records(const logstore::RecordList& records, bool recording) {
     recording_ = recording;
     std::lock_guard lock(mu_);
-    records_ = std::move(records);
+    records_.assign(records.begin(), records.end());
   }
 
  private:

@@ -277,6 +277,20 @@ TEST(ShrinkerTest, AlreadyMinimalReturnsUnchanged) {
   EXPECT_EQ(result.load_after, 1u);
   EXPECT_EQ(result.signature, "Broken");
   EXPECT_EQ(runs, 1u);  // just the verification re-run
+
+  // A supplied reference replaces the re-run: nothing executes, and it
+  // still counts as the one requested run.
+  runs = 0;
+  const campaign::ExperimentResult batch = fake_result({"Broken"});
+  const ShrinkResult referenced =
+      shrink(faulty_experiment({"a"}, /*load_count=*/1), always_fails, {},
+             nullptr, &batch);
+  EXPECT_TRUE(referenced.reproduced);
+  EXPECT_TRUE(referenced.already_minimal());
+  EXPECT_EQ(referenced.signature, "Broken");
+  EXPECT_EQ(referenced.runs, 1u);
+  EXPECT_EQ(referenced.executed, 0u);
+  EXPECT_EQ(runs, 0u);
 }
 
 TEST(ShrinkerTest, TripleFaultShrinksToSingleCause) {
@@ -309,6 +323,17 @@ TEST(ShrinkerTest, NonReproducibleFailureIsFlakyNotALoop) {
   EXPECT_FALSE(result.reproduced);
   EXPECT_EQ(runs, 1u);  // reported immediately, no shrink attempts
   EXPECT_EQ(result.minimal.failures.size(), 3u);  // input returned unshrunk
+
+  // A passing reference is flaky the same way, without executing anything.
+  runs = 0;
+  const campaign::ExperimentResult passed = fake_result({});
+  const ShrinkResult referenced = shrink(faulty_experiment({"a", "b", "c"}),
+                                         always_passes, {}, nullptr, &passed);
+  EXPECT_TRUE(referenced.flaky);
+  EXPECT_FALSE(referenced.reproduced);
+  EXPECT_EQ(referenced.runs, 1u);
+  EXPECT_EQ(runs, 0u);
+  EXPECT_EQ(referenced.minimal.failures.size(), 3u);
 }
 
 TEST(ShrinkerTest, ReductionMustPreserveTheFailureMode) {
@@ -354,6 +379,18 @@ TEST(ShrinkerTest, RunBudgetIsRespected) {
   EXPECT_EQ(runs, 1u);
   EXPECT_EQ(result.faults_after, 3u);
   EXPECT_EQ(result.load_after, 40u);
+
+  // A supplied reference uses up that one run just the same.
+  runs = 0;
+  const campaign::ExperimentResult batch = fake_result({"Broken"});
+  const ShrinkResult referenced = shrink(
+      faulty_experiment({"a", "b", "c"}, 40), always_fails, options, nullptr,
+      &batch);
+  EXPECT_TRUE(referenced.reproduced);
+  EXPECT_EQ(referenced.runs, 1u);
+  EXPECT_EQ(runs, 0u);
+  EXPECT_EQ(referenced.faults_after, 3u);
+  EXPECT_EQ(referenced.load_after, 40u);
 }
 
 // ------------------------------------------------------------ probe memo
@@ -470,6 +507,17 @@ TEST(ProbeMemoTest, VerificationReRunAlwaysExecutes) {
   EXPECT_EQ(second.runs, 1u);
   EXPECT_EQ(second.executed, 1u);
   EXPECT_TRUE(memo.find(e)->passed);  // the re-run's outcome is recorded
+
+  // A supplied reference is recorded the same way, without executing, and
+  // takes precedence over the memo's entry.
+  const campaign::ExperimentResult batch = fake_result({"Broken"});
+  const ShrinkResult third = shrink(e, fails_once, verify_only, &memo, &batch);
+  EXPECT_EQ(calls, 2u);
+  EXPECT_TRUE(third.reproduced);
+  EXPECT_EQ(third.runs, 1u);
+  EXPECT_EQ(third.executed, 0u);
+  EXPECT_FALSE(memo.find(e)->passed);
+  EXPECT_EQ(memo.find(e)->signature, "Broken");
 }
 
 TEST(ProbeMemoTest, RunsAreIdenticalWithAndWithoutMemo) {
@@ -495,11 +543,22 @@ TEST(ProbeMemoTest, RunsAreIdenticalWithAndWithoutMemo) {
     ShrinkOptions options;
     options.max_runs = max_runs;
     ProbeMemo memo;
+    ProbeMemo referenced_memo;
     size_t requested = 0;
     size_t executed = 0;
     for (const auto& e : failing) {
       const ShrinkResult plain = shrink(e, scripted, options);
       const ShrinkResult memoized = shrink(e, scripted, options, &memo);
+      // The batch's result as the reference: the same memo contents, one
+      // simulated run fewer.
+      const campaign::ExperimentResult batch = scripted(e);
+      const ShrinkResult referenced =
+          shrink(e, scripted, options, &referenced_memo, &batch);
+      EXPECT_EQ(referenced.runs, memoized.runs) << max_runs;
+      EXPECT_EQ(referenced.executed + 1, memoized.executed) << max_runs;
+      EXPECT_EQ(probe_label(referenced.minimal),
+                probe_label(memoized.minimal));
+      EXPECT_EQ(referenced.signature, memoized.signature);
       EXPECT_EQ(plain.runs, memoized.runs) << max_runs;
       EXPECT_EQ(plain.executed, plain.runs);
       EXPECT_LE(memoized.executed, memoized.runs);
@@ -664,9 +723,10 @@ TEST(SearchEndToEndTest, SearchIsDeterministicAcrossThreads) {
 }
 
 // run_search's pipeline re-composed from its public parts, shrinking every
-// failure with the memo-less three-argument shrink() on fresh worlds.
+// failure on fresh worlds with shrink()'s verification re-run, with no memo
+// or with one shared memo.
 SearchOutcome composed_search(const campaign::AppSpec& app,
-                              const SearchOptions& options) {
+                              const SearchOptions& options, bool memoize) {
   SearchOutcome outcome;
   const topology::AppGraph graph = app.probe_graph();
   const std::string target = campaign::load_target(
@@ -716,6 +776,7 @@ SearchOutcome composed_search(const campaign::AppSpec& app,
     return campaign::CampaignRunner::run_one(e, exec);
   };
   std::map<std::string, size_t> finding_index;
+  ProbeMemo memo;
   for (size_t i = 0; i < batch.experiments.size(); ++i) {
     const campaign::ExperimentResult& r = batch.experiments[i];
     if (!r.ok) {
@@ -728,7 +789,8 @@ SearchOutcome composed_search(const campaign::AppSpec& app,
     }
     ++outcome.failed;
     const ShrinkResult shrunk =
-        shrink(experiments[i], probe, options.shrink_options);
+        shrink(experiments[i], probe, options.shrink_options,
+               memoize ? &memo : nullptr);
     outcome.shrink_runs += shrunk.runs;
     outcome.shrink_executed += shrunk.executed;
     Finding f;
@@ -756,6 +818,11 @@ SearchOutcome composed_search(const campaign::AppSpec& app,
   return outcome;
 }
 
+// run_search shrinks from the batch's result with a shared memo and then
+// replays each reproducer cold. Against the composed memo-less search it
+// must find the same reproducers with the same requested runs; against the
+// composed memoized search it must simulate exactly one probe fewer per
+// failing combination: the verification re-run the batch result replaces.
 TEST(SearchEndToEndTest, MemoizedShrinkingMatchesPlainShrinking) {
   struct Case {
     campaign::AppSpec app;
@@ -785,9 +852,14 @@ TEST(SearchEndToEndTest, MemoizedShrinkingMatchesPlainShrinking) {
     }
 
     const SearchOutcome memoized = run_search(c.app, options);
-    const SearchOutcome plain = composed_search(c.app, options);
+    const SearchOutcome plain = composed_search(c.app, options, false);
+    const SearchOutcome verified = composed_search(c.app, options, true);
     ASSERT_TRUE(memoized.ok) << memoized.error;
     ASSERT_TRUE(memoized.found_failures());
+    EXPECT_EQ(memoized.shrink_executed,
+              verified.shrink_executed - memoized.failed);
+    EXPECT_EQ(verified.shrink_runs, plain.shrink_runs);
+    EXPECT_EQ(memoized.verify_runs, memoized.findings.size());
 
     EXPECT_EQ(memoized.fault_points, plain.fault_points);
     EXPECT_EQ(memoized.generated, plain.generated);
@@ -816,6 +888,54 @@ TEST(SearchEndToEndTest, MemoizedShrinkingMatchesPlainShrinking) {
       EXPECT_EQ(m.faults_before, p.faults_before) << m.minimal;
       EXPECT_EQ(m.occurrences, p.occurrences) << m.minimal;
     }
+  }
+}
+
+// Seeded nondeterminism: a replay runner that disagrees with the search on
+// exactly one reproducer, by its verdict or by its failure signature.
+TEST(VerifyReproducersTest, OneDisagreeingReplayMarksExactlyThatFinding) {
+  campaign::Experiment base = faulty_experiment({}, /*load_count=*/40);
+  base.seed = 3;
+  auto finding = [](const std::string& dst, size_t load_count) {
+    Finding f;
+    f.faults = {control::FailureSpec::abort_edge("x", dst)};
+    f.minimal = describe(f.faults[0]);
+    f.seed = 9;
+    f.load_count = load_count;
+    f.signature = "Broken";
+    return f;
+  };
+  SearchOutcome searched;
+  searched.findings = {finding("a", 1), finding("b", 5), finding("c", 40)};
+  searched.findings.push_back(finding("d", 40));
+  searched.findings.back().flaky = true;  // the shrink's reference passed
+
+  struct Case {
+    const char* name;
+    campaign::ExperimentResult odd;  // what the runner returns for x->b
+  };
+  const std::vector<Case> cases = {
+      {"verdict flips", fake_result({})},
+      {"signature changes", fake_result({"Broken", "Slow"})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::string> replayed;
+    const RunFn flips_b = [&](const campaign::Experiment& e) {
+      replayed.push_back(probe_label(e));
+      EXPECT_EQ(e.seed, 9u);
+      EXPECT_EQ(e.target, base.target);
+      return e.failures[0].b == "b" ? c.odd : fake_result({"Broken"});
+    };
+    SearchOutcome outcome = searched;
+    verify_reproducers(base, flips_b, &outcome);
+    EXPECT_EQ(outcome.verify_runs, 3u);
+    EXPECT_EQ(replayed,
+              (std::vector<std::string>{"1:a,", "5:b,", "40:c,"}));
+    EXPECT_FALSE(outcome.findings[0].flaky);
+    EXPECT_TRUE(outcome.findings[1].flaky);
+    EXPECT_FALSE(outcome.findings[2].flaky);
+    EXPECT_TRUE(outcome.findings[3].flaky);
   }
 }
 
@@ -860,6 +980,10 @@ TEST(SearchReportTest, RendersFunnelAndReproducers) {
             static_cast<int64_t>(outcome.shrink_runs));
   EXPECT_EQ(j["space"]["shrink_executed"].as_int(),
             static_cast<int64_t>(outcome.shrink_executed));
+  // One cold replay per reproducer; none of them is flaky here.
+  EXPECT_EQ(j["space"]["verify_runs"].as_int(),
+            static_cast<int64_t>(outcome.findings.size()));
+  EXPECT_EQ(outcome.verify_runs, outcome.findings.size());
 
   const std::string md = rep.to_markdown();
   EXPECT_NE(md.find("Search funnel"), std::string::npos);
@@ -868,6 +992,18 @@ TEST(SearchReportTest, RendersFunnelAndReproducers) {
   EXPECT_NE(md.find("| shrink probes | " +
                     std::to_string(outcome.shrink_runs) + " requested, " +
                     std::to_string(outcome.shrink_executed) + " simulated |"),
+            std::string::npos);
+  EXPECT_NE(md.find("| cold reproducer replays | " +
+                    std::to_string(outcome.verify_runs) + " |"),
+            std::string::npos);
+  EXPECT_EQ(md.find("FLAKY"), std::string::npos);
+
+  // A finding the cold replay disowned says so.
+  SearchOutcome disowned = outcome;
+  disowned.findings[0].flaky = true;
+  EXPECT_NE(report::build_search_report(disowned, "redundant")
+                .to_markdown()
+                .find("FLAKY (did not reproduce on a cold replay)"),
             std::string::npos);
 }
 

@@ -159,6 +159,29 @@ TEST(SnapshotCacheTest, SiblingsHitTheSharedPrefix) {
             CampaignRunner::run_one(second, exec).fingerprint());
 }
 
+TEST(SnapshotCacheTest, RecordingPrefixRestoresItsObservations) {
+  // A check that reads records keeps capture on through the prefix, so
+  // the snapshot carries each agent's buffered observations (the restore
+  // copies them into the live buffer) and its error rate counts the
+  // prefix's successes: a dropped or stale buffer changes the detail.
+  Experiment e = windowed_abort(msec(62));
+  e.checks = {CheckSpec::error_rate_below("serviceA", "serviceB", 0.5)};
+  for (const bool early_exit : {false, true}) {
+    ExecOptions exec;
+    exec.early_exit = early_exit;
+    const std::string cold = CampaignRunner::run_one(e, exec).fingerprint();
+    WarmWorld world(e.app);
+    const ExperimentResult miss = world.run(e, exec);
+    const ExperimentResult hit = world.run(e, exec);
+    const ExperimentResult again = world.run(e, exec);
+    EXPECT_EQ(miss.snapshot_path, 1);
+    EXPECT_EQ(hit.snapshot_path, 2);
+    EXPECT_EQ(miss.fingerprint(), cold);
+    EXPECT_EQ(hit.fingerprint(), cold);
+    EXPECT_EQ(again.fingerprint(), cold);
+  }
+}
+
 TEST(SnapshotCacheTest, ImmediateFaultsDegradeToWarmPath) {
   // after == 0 means no sharable fault-free prefix: the run takes the
   // normal warm path (snapshot_path == 0) and stays byte-identical.
