@@ -1,6 +1,7 @@
 #include "campaign/app_spec.h"
 
 #include <atomic>
+#include <memory>
 
 namespace gremlin::campaign {
 
@@ -30,10 +31,17 @@ AppSpec AppSpec::from_graph(topology::AppGraph graph,
                             sim::ServiceConfig prototype) {
   AppSpec spec;
   spec.name = "graph";
-  spec.build = [graph = std::move(graph),
-                prototype = std::move(prototype)](sim::Simulation* sim) {
-    ensure_graph_services(sim, graph, prototype);
-    return graph;
+  // Copies of the spec (and of every Experiment holding it) share one
+  // immutable graph and prototype instead of deep-copying them.
+  struct State {
+    topology::AppGraph graph;
+    sim::ServiceConfig prototype;
+  };
+  spec.build = [state = std::make_shared<const State>(
+                    State{std::move(graph), std::move(prototype)})](
+                   sim::Simulation* sim) {
+    ensure_graph_services(sim, state->graph, state->prototype);
+    return state->graph;
   };
   return spec;
 }
@@ -43,16 +51,21 @@ AppSpec AppSpec::from_graph(
     std::function<sim::ServiceConfig(const std::string&)> make) {
   AppSpec spec;
   spec.name = "graph";
-  spec.build = [graph = std::move(graph),
-                make = std::move(make)](sim::Simulation* sim) {
-    for (const auto& name : graph.services()) {
+  struct State {
+    topology::AppGraph graph;
+    std::function<sim::ServiceConfig(const std::string&)> make;
+  };
+  spec.build = [state = std::make_shared<const State>(
+                    State{std::move(graph), std::move(make)})](
+                   sim::Simulation* sim) {
+    for (const auto& name : state->graph.services()) {
       if (sim->find_service(name) != nullptr) continue;
-      sim::ServiceConfig cfg = make(name);
+      sim::ServiceConfig cfg = state->make(name);
       cfg.name = name;
-      cfg.dependencies = graph.dependencies(name);
+      cfg.dependencies = state->graph.dependencies(name);
       sim->add_service(std::move(cfg));
     }
-    return graph;
+    return state->graph;
   };
   return spec;
 }

@@ -31,6 +31,12 @@ struct AppSpec {
   AppSpec();
 
   std::string name;
+  // Copies of a spec (and so of every Experiment) copy this function, and
+  // with it only a shared pointer to the state it captured: from_graph
+  // captures its graph and prototype or `make` behind one
+  // shared_ptr<const ...>, the other factories only small values. Every
+  // copy, on every thread, reads that state concurrently through
+  // instantiate(), so it must stay immutable.
   std::function<topology::AppGraph(sim::Simulation*)> build;
 
   // Warm-world eligibility. build() functions whose captured state mutates

@@ -145,9 +145,18 @@ SearchOutcome run_search(const campaign::AppSpec& app,
   // Shrink failures to minimal reproducers, deduplicated by the minimal
   // fault set (many combinations typically collapse onto one bug).
   std::map<std::string, size_t> finding_index;
-  // Every probe below shares app, seed, checks, client, target and exec
-  // options, so one memo is exact for this call and for no other.
+  // Every probe below and every batch experiment share app, seed, checks,
+  // client, target and exec options, so one memo is exact for this call
+  // and for no other.
   ProbeMemo memo;
+  if (options.shrink) {
+    // The batch ran every combination with the probes' exec options, so its
+    // results answer the reductions that are combinations themselves (a
+    // failing pair's passing single fault, above all).
+    for (size_t i = 0; i < campaign.experiments.size(); ++i) {
+      memo.record(experiments[i], campaign.experiments[i]);
+    }
+  }
   for (size_t i = 0; i < campaign.experiments.size(); ++i) {
     const campaign::ExperimentResult& r = campaign.experiments[i];
     ComboOutcome& row = outcome.combos[experiment_combo[i]];

@@ -5,8 +5,9 @@
 //   prune combinations the observed call graph rules out  →  run the
 //   survivors in parallel on the campaign engine  →  shrink every failure
 //   to a locally-minimal reproducer with a replayable seed, starting from
-//   the batch's own result (one ProbeMemo per search answers reduction
-//   probes an earlier shrink simulated)  →  replay each distinct minimal
+//   the batch's own result (one ProbeMemo per search, seeded with every
+//   batch result, answers reduction probes that the batch or an earlier
+//   shrink already ran)  →  replay each distinct minimal
 //   reproducer once on a fresh world and mark it flaky unless it fails
 //   the same way.
 //

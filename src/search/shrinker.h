@@ -21,11 +21,17 @@
 // is returned unshrunk rather than looping.
 //
 // Many shrinks in one search probe the same reductions (every failing pair
-// sharing a fault probes that fault alone). A ProbeMemo shared across those
-// shrinks answers a repeated reduction candidate from its first execution.
+// sharing a fault probes that fault alone), and many reductions are
+// combinations the campaign batch already ran. A ProbeMemo shared across
+// those shrinks, and seeded by run_search with every batch result, answers
+// such a candidate without simulating it. The shrinker holds its current
+// reduction as indices into the failing experiment's faults plus a load
+// count and keys probes by per-fault ids, so a memo hit costs one key
+// lookup; an Experiment is built only for a probe that executes.
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -52,13 +58,13 @@ struct ShrinkOptions {
 // Exact memo of probe outcomes, keyed on (seed, load count, ordered fault
 // list). Valid only across experiments that agree on every other field —
 // app, client, target, load shape, checks — and run with the same exec
-// options, as every probe of one run_search call does; then the
-// determinism contract makes a probe's outcome a function of the key. Fault
-// order is part of the key because rule installation order decides
-// first-match-wins and the per-rule RNG streams. Faults are keyed by
-// FailureSpec::fingerprint, never by their describe() labels, which omit
-// fields; each distinct fingerprint is stored once and keys carry its dense
-// id. Stores only what shrinking compares, so memory stays flat.
+// options, as every probe of one run_search call and its campaign batch
+// do; then the determinism contract makes a probe's outcome a function of
+// the key. Fault order is part of the key because rule installation order
+// decides first-match-wins and the per-rule RNG streams. Faults are keyed
+// by FailureSpec::fingerprint, never by their describe() labels, which omit
+// fields; each distinct fingerprint gets a dense id (fault_id) and keys
+// carry the ids. Stores only what shrinking compares, so memory stays flat.
 class ProbeMemo {
  public:
   struct Outcome {
@@ -71,6 +77,18 @@ class ProbeMemo {
   const Outcome* find(const campaign::Experiment& e);
   void record(const campaign::Experiment& e,
               const campaign::ExperimentResult& result);
+
+  // The dense id of `spec`'s fingerprint, assigned on first sight and
+  // stable for the memo's lifetime.
+  size_t fault_id(const control::FailureSpec& spec);
+
+  // The key of an experiment with this seed, load count and ordered fault
+  // ids: find(e) and record(e, ...) use key(e.seed, e.load.count, ids of
+  // e.failures), so both forms address the same entries.
+  static std::string key(uint64_t seed, size_t load_count,
+                         std::span<const size_t> fault_ids);
+  const Outcome* find(const std::string& key) const;
+  void record(std::string key, const campaign::ExperimentResult& result);
 
  private:
   std::string key(const campaign::Experiment& e);
@@ -104,8 +122,13 @@ struct ShrinkResult {
 // instead of executing a verification re-run. Without it the re-run always
 // executes, memo or not. Either way the reference counts as one run and is
 // recorded in the memo. With a memo, reduction candidates already in it are
-// not re-run. `runs`, and with it the max_runs budget, is the same with or
-// without a memo or a supplied reference; only `executed` differs.
+// answered from their fault ids without building an Experiment or calling
+// `run`. Every candidate that does execute is `failing` with the same id
+// and fields except its faults, an order-preserving subsequence of
+// `failing.failures`, and its load count. Without a memo every requested
+// candidate calls `run`. `runs`, and with it the max_runs budget, is the
+// same with or without a memo or a supplied reference; only `executed`
+// differs.
 ShrinkResult shrink(const campaign::Experiment& failing, const RunFn& run = {},
                     const ShrinkOptions& options = {},
                     ProbeMemo* memo = nullptr,

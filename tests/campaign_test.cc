@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 
 #include "campaign/app_spec.h"
 #include "campaign/experiment.h"
@@ -435,6 +436,77 @@ TEST(AppSpecTest, FromGraphMatchesInterpreterAutocreate) {
   EXPECT_NE(sim.find_service("user"), nullptr);
   EXPECT_NE(sim.find_service("a"), nullptr);
   EXPECT_NE(sim.find_service("b"), nullptr);
+}
+
+// What instantiate() built: the returned graph's services and edges, and
+// each deployed service's dependencies and processing time.
+std::string built_app(const AppSpec& spec) {
+  sim::Simulation sim;
+  const topology::AppGraph graph = spec.instantiate(&sim);
+  std::string out;
+  for (const auto& edge : graph.edges()) out += edge.src + ">" + edge.dst + ";";
+  out += "|";
+  for (const auto& name : graph.services()) {
+    const sim::SimService* service = sim.find_service(name);
+    if (service == nullptr) return out + "missing " + name;
+    out += name + ":" +
+           std::to_string(service->config().processing_time.count()) + ":";
+    for (const auto& dep : service->config().dependencies) out += dep + ",";
+    out += ";";
+  }
+  return out + "|" + std::to_string(sim.service_count());
+}
+
+AppSpec from_graph_with_make() {
+  topology::AppGraph graph;
+  graph.add_edge("user", "front");
+  graph.add_edge("front", "db");
+  graph.add_edge("front", "cache");
+  return AppSpec::from_graph(graph, [](const std::string& name) {
+    sim::ServiceConfig cfg;
+    cfg.processing_time = msec(name == "db" ? 7 : 2);
+    return cfg;
+  });
+}
+
+TEST(AppSpecTest, CopiesInstantiateTheSameApp) {
+  const std::vector<AppSpec> specs = {AppSpec::named("mega:4x8").value(),
+                                      from_graph_with_make()};
+  for (const AppSpec& original : specs) {
+    SCOPED_TRACE(original.name);
+    const std::string expected = built_app(original);
+    const AppSpec copy = original;
+    Experiment holder;
+    holder.app = original;
+    const Experiment holder_copy = holder;
+    EXPECT_EQ(copy.identity(), original.identity());
+    EXPECT_EQ(holder_copy.app.identity(), original.identity());
+    EXPECT_EQ(built_app(copy), expected);
+    EXPECT_EQ(built_app(holder_copy.app), expected);
+    // Building twice from one spec gives the same app again: the shared
+    // state is only read.
+    EXPECT_EQ(built_app(original), expected);
+  }
+  // The make hook ran per service: db differs from the rest.
+  EXPECT_NE(built_app(from_graph_with_make()).find("db:7"), std::string::npos);
+}
+
+TEST(AppSpecTest, ConcurrentInstantiateOfCopies) {
+  for (const AppSpec& spec :
+       {AppSpec::named("mega:4x8").value(), from_graph_with_make()}) {
+    SCOPED_TRACE(spec.name);
+    const std::string expected = built_app(spec);
+    std::vector<std::string> built(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < built.size(); ++t) {
+      threads.emplace_back([&spec, &built, t] {
+        const AppSpec copy = spec;
+        built[t] = built_app(copy);
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (const std::string& b : built) EXPECT_EQ(b, expected);
+  }
 }
 
 }  // namespace

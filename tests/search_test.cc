@@ -403,6 +403,120 @@ std::string probe_label(const campaign::Experiment& e) {
   return label;
 }
 
+TEST(ShrinkerTest, CandidatesChangeOnlyFaultsAndLoad) {
+  // Every executed candidate must be the failing k=3 experiment with only
+  // its faults (an order-preserving subsequence) and its load count
+  // changed. Shrinking the k=3 experiment and then three of its pairs
+  // repeats probes, which a shared memo executes once each.
+  campaign::Experiment failing = faulty_experiment({"a", "b", "c"}, 40);
+  failing.id = "k3";
+  failing.app = campaign::AppSpec::named("mega:2x2").value();
+  failing.client = "edge";
+  failing.target = "front";
+  failing.load.gap = msec(7);
+  failing.load.id_prefix = "k3-";
+  failing.load.uri = "/cart";
+  failing.load.method = "POST";
+  failing.load.body = "{}";
+  failing.load.closed_loop = true;
+  failing.load.horizon = sec(9);
+  failing.checks = {
+      campaign::CheckSpec::has_bounded_retries("front", "db", 4),
+      campaign::CheckSpec::max_user_failures(3)};
+  failing.seed = 9;
+
+  std::vector<std::string> executed;
+  const RunFn recording = [&](const campaign::Experiment& e) {
+    EXPECT_EQ(e.id, failing.id);
+    EXPECT_EQ(e.seed, failing.seed);
+    EXPECT_EQ(e.client, failing.client);
+    EXPECT_EQ(e.target, failing.target);
+    EXPECT_EQ(e.app.identity(), failing.app.identity());
+    EXPECT_EQ(e.checks.size(), failing.checks.size());
+    for (size_t i = 0; i < std::min(e.checks.size(), failing.checks.size());
+         ++i) {
+      EXPECT_EQ(e.checks[i].kind, failing.checks[i].kind);
+      EXPECT_EQ(e.checks[i].a, failing.checks[i].a);
+      EXPECT_EQ(e.checks[i].b, failing.checks[i].b);
+      EXPECT_EQ(e.checks[i].threshold, failing.checks[i].threshold);
+      EXPECT_EQ(e.checks[i].value, failing.checks[i].value);
+    }
+    EXPECT_EQ(e.load.gap, failing.load.gap);
+    EXPECT_EQ(e.load.id_prefix, failing.load.id_prefix);
+    EXPECT_EQ(e.load.uri, failing.load.uri);
+    EXPECT_EQ(e.load.method, failing.load.method);
+    EXPECT_EQ(e.load.body, failing.load.body);
+    EXPECT_EQ(e.load.closed_loop, failing.load.closed_loop);
+    EXPECT_EQ(e.load.horizon, failing.load.horizon);
+    EXPECT_LE(e.load.count, failing.load.count);
+    size_t next = 0;  // order-preserving subsequence of failing.failures
+    for (const auto& f : e.failures) {
+      while (next < failing.failures.size() &&
+             failing.failures[next].fingerprint() != f.fingerprint()) {
+        ++next;
+      }
+      EXPECT_LT(next, failing.failures.size()) << probe_label(e);
+      ++next;
+    }
+    executed.push_back(probe_label(e));
+    std::vector<std::string> failed;
+    for (const auto& f : e.failures) {
+      if (f.b == "b" || f.b == "c") failed = {"Broken"};
+    }
+    if (!failed.empty() && e.load.count > 5) failed.push_back("Slow");
+    return fake_result(failed);
+  };
+
+  std::vector<campaign::Experiment> shrinks = {failing};
+  for (const std::vector<size_t>& pair : std::vector<std::vector<size_t>>{
+           {0, 1}, {1, 2}, {0, 2}}) {
+    campaign::Experiment e = failing;
+    e.failures.clear();
+    for (const size_t i : pair) e.failures.push_back(failing.failures[i]);
+    shrinks.push_back(e);
+  }
+  auto run_all = [&](ProbeMemo* memo) {
+    std::vector<ShrinkResult> results;
+    for (const campaign::Experiment& e : shrinks) {
+      // The batch result as the reference: only reductions execute.
+      const size_t before = executed.size();
+      const campaign::ExperimentResult batch = recording(e);
+      executed.resize(before);
+      results.push_back(shrink(e, recording, {}, memo, &batch));
+    }
+    return results;
+  };
+
+  executed.clear();
+  const std::vector<ShrinkResult> plain = run_all(nullptr);
+  const std::vector<std::string> plain_sequence = executed;
+  executed.clear();
+  ProbeMemo memo;
+  const std::vector<ShrinkResult> memoized = run_all(&memo);
+
+  std::vector<std::string> first_occurrences;
+  std::set<std::string> seen;
+  for (const std::string& label : plain_sequence) {
+    if (seen.insert(label).second) first_occurrences.push_back(label);
+  }
+  EXPECT_LT(first_occurrences.size(), plain_sequence.size());
+  EXPECT_EQ(executed, first_occurrences);
+  ASSERT_EQ(plain.size(), memoized.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i].runs, memoized[i].runs) << i;
+    EXPECT_EQ(plain[i].executed, plain[i].runs - 1) << i;
+    EXPECT_EQ(probe_label(plain[i].minimal), probe_label(memoized[i].minimal));
+    EXPECT_EQ(plain[i].signature, memoized[i].signature);
+    // The minimal reproducer keeps every field but faults and load too.
+    EXPECT_EQ(memoized[i].minimal.id, failing.id);
+    EXPECT_EQ(memoized[i].minimal.seed, failing.seed);
+    EXPECT_EQ(memoized[i].minimal.target, failing.target);
+    EXPECT_EQ(memoized[i].minimal.load.gap, failing.load.gap);
+  }
+  // {a,b,c} shrinks to {c} at 10 requests: below 6 the "Slow" check passes.
+  EXPECT_EQ(probe_label(memoized[0].minimal), "10:c,");
+}
+
 TEST(ProbeMemoTest, RepeatedCandidateExecutesOnce) {
   // Only the fault on x->a matters. Shrinking {a,b} and then {a,c} probes
   // {a} both times; with a shared memo it is simulated once.
@@ -518,6 +632,39 @@ TEST(ProbeMemoTest, VerificationReRunAlwaysExecutes) {
   EXPECT_EQ(third.executed, 0u);
   EXPECT_FALSE(memo.find(e)->passed);
   EXPECT_EQ(memo.find(e)->signature, "Broken");
+}
+
+TEST(ProbeMemoTest, BatchResultAnswersAPassingCandidate) {
+  // Only x->a matters. The pair {a,b} probes {b} (passes) and then {a}. A
+  // memo seeded with the batch's passing {b} answers the first probe.
+  std::map<std::string, size_t> executions;
+  const RunFn culprit_is_a = [&](const campaign::Experiment& e) {
+    ++executions[probe_label(e)];
+    for (const auto& f : e.failures) {
+      if (f.b == "a") return fake_result({"Broken"});
+    }
+    return fake_result({});
+  };
+  const campaign::Experiment pair = faulty_experiment({"a", "b"});
+  const campaign::ExperimentResult pair_batch = fake_result({"Broken"});
+
+  ProbeMemo unseeded;
+  const ShrinkResult plain =
+      shrink(pair, culprit_is_a, {}, &unseeded, &pair_batch);
+  EXPECT_EQ(executions["1:b,"], 1u);
+
+  executions.clear();
+  ProbeMemo seeded;
+  seeded.record(faulty_experiment({"b"}), fake_result({}));
+  const ShrinkResult answered =
+      shrink(pair, culprit_is_a, {}, &seeded, &pair_batch);
+  EXPECT_EQ(executions.count("1:b,"), 0u);
+  EXPECT_EQ(executions["1:a,"], 1u);
+  EXPECT_EQ(answered.executed + 1, plain.executed);
+  EXPECT_EQ(answered.runs, plain.runs);
+  EXPECT_EQ(probe_label(answered.minimal), probe_label(plain.minimal));
+  EXPECT_EQ(probe_label(answered.minimal), "1:a,");
+  EXPECT_EQ(answered.signature, plain.signature);
 }
 
 TEST(ProbeMemoTest, RunsAreIdenticalWithAndWithoutMemo) {
@@ -724,9 +871,11 @@ TEST(SearchEndToEndTest, SearchIsDeterministicAcrossThreads) {
 
 // run_search's pipeline re-composed from its public parts, shrinking every
 // failure on fresh worlds with shrink()'s verification re-run, with no memo
-// or with one shared memo.
+// or with one shared memo, which `seed_from_batch` fills with every batch
+// result before the first shrink.
 SearchOutcome composed_search(const campaign::AppSpec& app,
-                              const SearchOptions& options, bool memoize) {
+                              const SearchOptions& options, bool memoize,
+                              bool seed_from_batch = false) {
   SearchOutcome outcome;
   const topology::AppGraph graph = app.probe_graph();
   const std::string target = campaign::load_target(
@@ -777,6 +926,11 @@ SearchOutcome composed_search(const campaign::AppSpec& app,
   };
   std::map<std::string, size_t> finding_index;
   ProbeMemo memo;
+  if (memoize && seed_from_batch) {
+    for (size_t i = 0; i < batch.experiments.size(); ++i) {
+      memo.record(experiments[i], batch.experiments[i]);
+    }
+  }
   for (size_t i = 0; i < batch.experiments.size(); ++i) {
     const campaign::ExperimentResult& r = batch.experiments[i];
     if (!r.ok) {
@@ -818,12 +972,14 @@ SearchOutcome composed_search(const campaign::AppSpec& app,
   return outcome;
 }
 
-// run_search shrinks from the batch's result with a shared memo and then
-// replays each reproducer cold. Against the composed memo-less search it
-// must find the same reproducers with the same requested runs; against the
-// composed memoized search it must simulate exactly one probe fewer per
-// failing combination: the verification re-run the batch result replaces.
+// run_search shrinks from the batch's result with a shared memo seeded by
+// the batch, then replays each reproducer cold. Against the composed
+// memo-less search it must find the same reproducers with the same
+// requested runs; against the composed search with a batch-seeded memo it
+// must simulate exactly one probe fewer per failing combination: the
+// verification re-run the batch result replaces.
 TEST(SearchEndToEndTest, MemoizedShrinkingMatchesPlainShrinking) {
+  size_t cases_where_seeding_saved = 0;
   struct Case {
     campaign::AppSpec app;
     uint64_t seed;
@@ -854,11 +1010,17 @@ TEST(SearchEndToEndTest, MemoizedShrinkingMatchesPlainShrinking) {
     const SearchOutcome memoized = run_search(c.app, options);
     const SearchOutcome plain = composed_search(c.app, options, false);
     const SearchOutcome verified = composed_search(c.app, options, true);
+    const SearchOutcome seeded = composed_search(c.app, options, true, true);
     ASSERT_TRUE(memoized.ok) << memoized.error;
     ASSERT_TRUE(memoized.found_failures());
     EXPECT_EQ(memoized.shrink_executed,
-              verified.shrink_executed - memoized.failed);
+              seeded.shrink_executed - memoized.failed);
+    EXPECT_LE(seeded.shrink_executed, verified.shrink_executed);
+    if (seeded.shrink_executed < verified.shrink_executed) {
+      ++cases_where_seeding_saved;
+    }
     EXPECT_EQ(verified.shrink_runs, plain.shrink_runs);
+    EXPECT_EQ(seeded.shrink_runs, plain.shrink_runs);
     EXPECT_EQ(memoized.verify_runs, memoized.findings.size());
 
     EXPECT_EQ(memoized.fault_points, plain.fault_points);
@@ -888,7 +1050,17 @@ TEST(SearchEndToEndTest, MemoizedShrinkingMatchesPlainShrinking) {
       EXPECT_EQ(m.faults_before, p.faults_before) << m.minimal;
       EXPECT_EQ(m.occurrences, p.occurrences) << m.minimal;
     }
+    ASSERT_EQ(seeded.findings.size(), plain.findings.size());
+    for (size_t i = 0; i < plain.findings.size(); ++i) {
+      EXPECT_EQ(seeded.findings[i].minimal, plain.findings[i].minimal);
+      EXPECT_EQ(seeded.findings[i].signature, plain.findings[i].signature);
+      EXPECT_EQ(seeded.findings[i].shrink_runs,
+                plain.findings[i].shrink_runs);
+    }
   }
+  // At least one case has a failing pair whose passing single fault the
+  // batch already ran.
+  EXPECT_GT(cases_where_seeding_saved, 0u);
 }
 
 // Seeded nondeterminism: a replay runner that disagrees with the search on
