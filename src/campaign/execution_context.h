@@ -23,7 +23,8 @@
 // result. Determinism is unaffected — experiment results depend only on
 // (app, failures, load, checks, seed), and fingerprints carry no Symbol
 // ids — so campaigns stay byte-identical across 1/4/8 threads, warm and
-// cold (the CI warm-cold-differential and contention jobs enforce this).
+// cold (tests/differential_test.cc enforces this; the CI contention job
+// runs it under ThreadSanitizer).
 //
 // Not thread-safe; one context per worker thread.
 #pragma once

@@ -26,6 +26,16 @@ void append_duration(std::string* out, Duration d) {
   *out += ',';
 }
 
+// Bounded-memory retention for runs whose checks consume records online:
+// once the store exceeds this many records, the oldest half is evicted.
+// Online checks have already consumed every record when it is appended, so
+// no live check can still reference a dropped one. Not applied when the
+// run preserves its log.
+constexpr size_t kRetentionLimit = 16384;
+
+// Virtual-time drain cadence of the streaming collector.
+constexpr Duration kStreamInterval = msec(5);
+
 }  // namespace
 
 std::string ExperimentResult::fingerprint() const {
@@ -240,15 +250,14 @@ ExperimentResult ExperimentBody::run(ExperimentResult result,
   // in this mode anyway).
   const bool suppress_records =
       use_online_ && !exec_.preserve_log && !wants_records;
-  const bool bounded =
-      wants_records && !exec_.preserve_log && exec_.retention_limit > 0;
+  const bool bounded = wants_records && !exec_.preserve_log;
 
   // Record-consuming checks need the stream shipped into the store (the
   // append observer feeds them).
   std::optional<control::SimStreamCollector> collector;
   if (wants_records) {
     collector.emplace(&sim, control::SimStreamCollector::Mode::kAppendToStore,
-                      exec_.stream_interval);
+                      kStreamInterval);
   }
   if (suppress_records) sim.set_recording(false);
   if (wants_records) {
@@ -257,7 +266,7 @@ ExperimentResult ExperimentBody::run(ExperimentResult result,
           online_.offer(record);
           if (online_.all_decided()) sim.request_stop();
         });
-    if (bounded) sim.log_store().set_retention_limit(exec_.retention_limit);
+    if (bounded) sim.log_store().set_retention_limit(kRetentionLimit);
   }
   std::function<void(bool failed)> on_response;
   if (use_online_) {

@@ -13,7 +13,8 @@
 // Determinism contract: experiment results depend only on (app spec,
 // failure specs, load, checks, seed) — never on thread count, scheduling
 // order, or sibling experiments. `threads=8` is byte-identical to
-// `threads=1` (tests/campaign_test.cc enforces this).
+// `threads=1` (tests/differential_test.cc enforces this across every
+// execution mode).
 #pragma once
 
 #include <functional>
@@ -65,8 +66,8 @@ struct RunnerOptions {
   // between experiments instead of destructing/reconstructing, with fault
   // translations memoized per world (control::RuleCache). Results are
   // byte-identical to cold construction — fingerprint() and
-  // verdict_fingerprint() both — enforced by differential tests and the CI
-  // warm-cold job. Custom experiments and non-reusable specs fall back to
+  // verdict_fingerprint() both — enforced by tests/differential_test.cc.
+  // Custom experiments and non-reusable specs fall back to
   // cold construction automatically; --cold disables reuse entirely.
   bool warm_worlds = true;
 
@@ -82,8 +83,9 @@ struct RunnerOptions {
   // each warm world simulates it once, snapshots, and restores siblings
   // from the snapshot instead of replaying from t=0. Byte-identical —
   // fingerprint() and verdict_fingerprint() both — to the warm-world path;
-  // experiments with immediate faults (or custom bodies, or non-reusable
-  // specs) degrade to that path automatically. --no-snapshot disables.
+  // experiments with immediate faults (or custom bodies, non-reusable
+  // specs, or apps with a custom service handler) degrade to that path
+  // automatically. --no-snapshot disables.
   bool use_snapshots = true;
 
   // Optional progress hook, invoked after each experiment completes.
@@ -103,16 +105,6 @@ struct ExecOptions {
   // retention and the collect-skip shortcut). Required by callers that
   // read the log afterwards, e.g. call-graph extraction.
   bool preserve_log = false;
-
-  // Bounded-memory retention: once the store exceeds this many records,
-  // the oldest half is evicted. Online checks have already consumed every
-  // record when it is appended, so no live check can still reference a
-  // dropped one. 0 disables retention. Ignored when preserve_log is set
-  // or any attached check has no incremental form.
-  size_t retention_limit = 16384;
-
-  // Virtual-time drain cadence of the streaming collector.
-  Duration stream_interval = msec(5);
 
   // Scheduler selection for the private Simulation (RunnerOptions
   // docs; results are byte-identical either way).
@@ -161,7 +153,8 @@ struct ExperimentResult {
   // Verdict-only digest: id, seed, ok/error, and each check's pass/fail by
   // name — no details, counters, or latencies. Early termination preserves
   // verdicts but not raw counters, so this is the digest that must match
-  // between early-exit and full runs (the CI differential job diffs it).
+  // between early-exit and full runs (tests/differential_test.cc compares
+  // it).
   std::string verdict_fingerprint() const;
 };
 

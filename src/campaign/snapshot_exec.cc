@@ -43,6 +43,16 @@ std::optional<ExperimentResult> SnapshotCache::run(
     const ExecOptions& exec) {
   // --- eligibility --------------------------------------------------------
   if (experiment.custom || experiment.failures.empty()) return std::nullopt;
+  if (!custom_handlers_) {
+    custom_handlers_ = false;
+    for (size_t i = 0; i < sim->service_count(); ++i) {
+      if (sim->service_by_index(static_cast<int32_t>(i))->config().handler) {
+        custom_handlers_ = true;
+        break;
+      }
+    }
+  }
+  if (*custom_handlers_) return std::nullopt;
   Duration min_after = experiment.failures.front().after;
   for (const auto& spec : experiment.failures) {
     // InstanceCrash schedules outage events at apply() time — they would

@@ -28,8 +28,14 @@
 // Eligibility: declarative experiments on reusable specs whose failure
 // specs all have `after >= 1 tick` (and none is kInstanceCrash, which
 // schedules outage events at apply time — before the prefix would be
-// sharable). Everything else returns nullopt and degrades gracefully to
-// the warm-world path.
+// sharable), on worlds where every service runs the default handler. A
+// snapshot copies pending event closures by value and reloads only
+// SnapshotParticipants, so state a custom handler's closures share (say, a
+// per-request fan-out counter behind a shared_ptr) would leak from one
+// restored sibling into the next; the engine cannot see what such closures
+// share, so any custom ServiceConfig::handler opts the whole world out
+// (checked once per world). Everything else returns nullopt and degrades
+// gracefully to the warm-world path.
 //
 // The experiment itself runs through the ExperimentBody that
 // CampaignRunner::run_prepared also runs (campaign/runner.h): online
@@ -38,8 +44,8 @@
 // the restored world, and driving the load through the entry's driver.
 // Contract: for eligible experiments the returned result is byte-identical
 // — fingerprint() and verdict_fingerprint() both — to run_prepared on a
-// freshly reset world (tests/snapshot_test.cc and the CI snapshot
-// differential enforce this).
+// freshly reset world (tests/snapshot_test.cc and tests/differential_test.cc
+// enforce this).
 //
 // Not thread-safe; each warm world owns one cache.
 #pragma once
@@ -94,6 +100,9 @@ class SnapshotCache {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t prefix_events_skipped_ = 0;
+  // Whether any service of the world has a custom handler; computed on the
+  // first run (the cache belongs to one world).
+  std::optional<bool> custom_handlers_;
 };
 
 }  // namespace gremlin::campaign

@@ -11,8 +11,8 @@
 //
 // Contract: WarmWorld::run is byte-identical (fingerprint() AND
 // verdict_fingerprint()) to CampaignRunner::run_one for every experiment.
-// tests/warm_world_test.cc enforces this differentially; the CI
-// warm-cold-differential job re-checks it end to end.
+// tests/warm_world_test.cc enforces this run by run, and
+// tests/differential_test.cc across whole campaigns and searches.
 //
 // Cold fallback: custom experiments (their hook drives the session
 // imperatively and may mutate the deployment arbitrarily) and specs marked

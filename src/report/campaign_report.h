@@ -56,13 +56,13 @@ struct CampaignReport {
 
   // Verdict-only digest of the whole campaign (see
   // campaign::ExperimentResult::verdict_fingerprint): identical between
-  // early-exit and full runs, so CI can diff the two modes.
+  // early-exit and full runs, so two reports can be diffed across modes.
   std::string verdict_fingerprint;
 
   // FNV-1a hex digest of CampaignResult::fingerprint() — the byte-exact
   // everything-digest (counters, latencies, statuses included). Stable
-  // across threads × procs combinations; the CI multiproc-differential job
-  // diffs it between --procs 1 and --procs 2.
+  // across threads × procs combinations and every other execution mode
+  // when early exit is off.
   std::string result_fingerprint;
 
   std::vector<ExperimentRow> rows;  // campaign order

@@ -128,7 +128,9 @@ TEST(GlobPropertyTest, FastPathShapesAreMutuallyConsistent) {
       pattern.push_back(alphabet[rng.next_below(4)]);
     }
     const Glob glob(pattern);
-    if (glob.is_literal()) EXPECT_FALSE(glob.literal_prefix().has_value());
+    if (glob.is_literal()) {
+      EXPECT_FALSE(glob.literal_prefix().has_value());
+    }
     if (const auto prefix = glob.literal_prefix()) {
       EXPECT_EQ(pattern, std::string(*prefix) + "*");
     }
