@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "baseline/chaos.h"
-#include "bench_json.h"
 #include "campaign/runner.h"
 
 namespace {
@@ -94,9 +93,7 @@ RandomOutcome random_probe(uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  auto& rows = benchjson::Rows::instance();
-  rows.parse_args(&argc, argv);
+int main() {
   std::printf(
       "# Ablation — systematic Gremlin sweep vs randomized chaos\n"
       "# bug: svc0 has no failure handling for svc2 (7-service tree)\n\n");
@@ -129,10 +126,6 @@ int main(int argc, char** argv) {
       "threads)\n",
       culprit.c_str(), first_hit, experiments.size(),
       to_seconds(result.wall_clock) * 1e3, result.threads);
-  rows.add("ablation/systematic", "experiments_to_find_bug",
-           static_cast<double>(first_hit), "count");
-  rows.add("ablation/systematic", "sweep_wall",
-           to_seconds(result.wall_clock) * 1e3, "ms");
 
   // --- randomized baseline over many seeds ---
   std::vector<size_t> kills_needed;
@@ -157,10 +150,6 @@ int main(int argc, char** argv) {
         kills_needed.size(), kSeeds,
         static_cast<double>(total) / kills_needed.size(),
         kills_needed[kills_needed.size() / 2], kills_needed.back(), misses);
-    rows.add("ablation/randomized", "mean_kills_to_find_bug",
-             static_cast<double>(total) / kills_needed.size(), "count");
-    rows.add("ablation/randomized", "seeds_missed",
-             static_cast<double>(misses), "count");
   } else {
     std::printf("randomized: bug never surfaced in %d seeds\n", kSeeds);
   }
@@ -168,5 +157,5 @@ int main(int argc, char** argv) {
       "\nshape-check: systematic localizes the bug (names the culprit "
       "service); random only reports that *something* failed, after more "
       "fault actions on average.\n");
-  return rows.write() ? 0 : 1;
+  return 0;
 }

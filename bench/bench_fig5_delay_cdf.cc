@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "apps/wordpress.h"
-#include "bench_json.h"
 #include "control/recipe.h"
 #include "workload/stats.h"
 
@@ -48,9 +47,7 @@ control::LoadResult run_wordpress_with_delay(Duration delay,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  auto& rows = benchjson::Rows::instance();
-  rows.parse_args(&argc, argv);
+int main() {
   constexpr size_t kRequests = 100;
   std::printf(
       "# Figure 5 — CDFs of WordPress response times under injected\n"
@@ -70,10 +67,6 @@ int main(int argc, char** argv) {
     const bool offset_by_delay = summary.min >= sec(delay_s);
     std::printf("shape-check: min response >= injected delay: %s\n\n",
                 offset_by_delay ? "OK (no timeout pattern)" : "VIOLATED");
-    const std::string name = "fig5/delay=" + std::to_string(delay_s) + "s";
-    rows.add(name, "min", to_seconds(summary.min), "s");
-    rows.add(name, "p50", to_seconds(summary.p50), "s");
-    rows.add(name, "max", to_seconds(summary.max), "s");
   }
 
   std::printf(
@@ -85,6 +78,5 @@ int main(int argc, char** argv) {
   std::printf(
       "max=%.3fs — responses bounded by the timeout, CDF no longer offset\n",
       to_seconds(summary.max));
-  rows.add("fig5/timeout=1s,delay=3s", "max", to_seconds(summary.max), "s");
-  return rows.write() ? 0 : 1;
+  return 0;
 }

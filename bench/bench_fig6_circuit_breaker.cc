@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "apps/wordpress.h"
-#include "bench_json.h"
 #include "control/recipe.h"
 #include "workload/stats.h"
 
@@ -62,33 +61,25 @@ PhaseResult run_fig6(bool with_breaker) {
   return phases;
 }
 
-void print_phase(const char* label, const std::vector<Duration>& latencies,
-                 const std::string& row_name) {
+void print_phase(const char* label, const std::vector<Duration>& latencies) {
   const auto summary = workload::summarize(latencies);
   std::printf("## %s\n%s", label,
               workload::format_cdf(latencies, 10).c_str());
   std::printf("min=%.3fs p50=%.3fs max=%.3fs\n\n", to_seconds(summary.min),
               to_seconds(summary.p50), to_seconds(summary.max));
-  auto& rows = benchjson::Rows::instance();
-  rows.add(row_name, "p50", to_seconds(summary.p50), "s");
-  rows.add(row_name, "max", to_seconds(summary.max), "s");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  auto& rows = benchjson::Rows::instance();
-  rows.parse_args(&argc, argv);
+int main() {
   std::printf(
       "# Figure 6 — WordPress response-time CDFs: 100 aborted then 100\n"
       "# delayed (3s) requests on the WordPress->Elasticsearch edge\n\n");
 
   std::printf("=== ElasticPress as shipped (no circuit breaker) ===\n");
   const auto shipped = run_fig6(false);
-  print_phase("aborted phase (mysql fallback)", shipped.aborted_phase,
-              "fig6_shipped/aborted_phase");
-  print_phase("delayed phase", shipped.delayed_phase,
-              "fig6_shipped/delayed_phase");
+  print_phase("aborted phase (mysql fallback)", shipped.aborted_phase);
+  print_phase("delayed phase", shipped.delayed_phase);
   size_t under_3s = 0;
   for (const Duration lat : shipped.delayed_phase) {
     if (lat < sec(3)) ++under_3s;
@@ -98,13 +89,10 @@ int main(int argc, char** argv) {
       under_3s,
       under_3s == 0 ? "(none — no tripped circuit breaker, as in the paper)"
                     : "(breaker behaviour detected?)");
-  rows.add("fig6_shipped/delayed_phase", "under_3s",
-           static_cast<double>(under_3s), "count");
 
   std::printf("=== counterfactual: circuit breaker, threshold 50 ===\n");
   const auto fixed = run_fig6(true);
-  print_phase("delayed phase with breaker", fixed.delayed_phase,
-              "fig6_breaker/delayed_phase");
+  print_phase("delayed phase with breaker", fixed.delayed_phase);
   size_t fast = 0;
   for (const Duration lat : fixed.delayed_phase) {
     if (lat < sec(1)) ++fast;
@@ -113,7 +101,5 @@ int main(int argc, char** argv) {
       "shape-check: delayed requests returning immediately: %zu/100 "
       "(breaker tripped during the abort phase)\n",
       fast);
-  rows.add("fig6_breaker/delayed_phase", "fast_returns",
-           static_cast<double>(fast), "count");
-  return rows.write() ? 0 : 1;
+  return 0;
 }

@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "apps/trees.h"
-#include "bench_json.h"
 #include "control/recipe.h"
 
 namespace {
@@ -103,9 +102,7 @@ Fig7Row run_depth(int depth) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  auto& rows = benchjson::Rows::instance();
-  rows.parse_args(&argc, argv);
+int main() {
   std::printf(
       "# Figure 7 — orchestration + assertion wall time vs application "
       "size\n# (binary trees; Delay outage on every edge; 100 test "
@@ -119,11 +116,6 @@ int main(int argc, char** argv) {
     std::printf("%9d %16.3f %13.3f %13.3f %5d/%d\n", row.services,
                 row.orchestration_ms, row.injection_ms, row.assertion_ms,
                 row.assertions_passed, row.assertions_run);
-    const std::string name =
-        "fig7/services=" + std::to_string(row.services);
-    rows.add(name, "orchestrate", row.orchestration_ms, "ms");
-    rows.add(name, "inject", row.injection_ms, "ms");
-    rows.add(name, "assert", row.assertion_ms, "ms");
     per_service_cost +=
         (row.orchestration_ms + row.assertion_ms) / row.services;
     ++depths;
@@ -133,6 +125,5 @@ int main(int argc, char** argv) {
       "%.3f ms\n(paper: both components stay low and the full test "
       "completes in well under a second at 31 services)\n",
       per_service_cost / depths);
-  rows.add("fig7", "mean_cost_per_service", per_service_cost / depths, "ms");
-  return rows.write() ? 0 : 1;
+  return 0;
 }

@@ -2,29 +2,24 @@
 // against all installed rules without matching any, for increasing rule
 // counts.
 //
-// Three sections:
+// Two sections:
 //   1. A CDF of per-request matching latency over 10000 requests through
 //      faults::RuleEngine (the exact code both data planes run), for
 //      1/5/10/50/100/200 installed rules — the paper's CDF axes.
 //   2. The same worst case through the *real* sidecar proxy on loopback
 //      (200 requests per rule count), measuring end-to-end completion time
 //      like the paper's Apache Benchmark runs.
-//   3. google-benchmark microbenchmarks of RuleEngine::evaluate.
 //
 // Shape expectations: matching cost grows with rule count and stays in the
 // microsecond range; proxy end-to-end times are dominated by the network
 // path, with rule matching a small additive overhead.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
-#include "bench_json.h"
 #include "faults/rule_engine.h"
 #include "httpserver/client.h"
 #include "httpserver/server.h"
-#include "logstore/store.h"
 #include "proxy/agent.h"
 #include "workload/stats.h"
 
@@ -45,6 +40,12 @@ std::vector<faults::FaultRule> non_matching_rules(int count) {
     rules.push_back(std::move(rule));
   }
   return rules;
+}
+
+// Keeps the compiler from discarding a value whose computation is timed.
+template <typename T>
+void keep(const T& value) {
+  asm volatile("" : : "g"(&value) : "memory");
 }
 
 faults::MessageView test_request(const std::string& id) {
@@ -76,7 +77,7 @@ void engine_cdf_section() {
       const auto start = std::chrono::steady_clock::now();
       auto decision = engine.evaluate(view);
       const auto end = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(decision);
+      keep(decision);
       samples.push_back(
           std::chrono::duration_cast<Duration>(end - start));
     }
@@ -86,10 +87,6 @@ void engine_cdf_section() {
         rule_count, to_seconds(summary.p50) * 1e6,
         to_seconds(summary.p90) * 1e6, to_seconds(summary.p99) * 1e6,
         to_seconds(summary.max) * 1e6);
-    const std::string name = "fig8_engine/rules=" + std::to_string(rule_count);
-    auto& rows = benchjson::Rows::instance();
-    rows.add(name, "p50", to_seconds(summary.p50) * 1e6, "us");
-    rows.add(name, "p99", to_seconds(summary.p99) * 1e6, "us");
   }
   std::printf("\n");
 }
@@ -134,120 +131,18 @@ void proxy_section() {
                 rule_count, to_seconds(summary.p50) * 1e6,
                 to_seconds(summary.p90) * 1e6, to_seconds(summary.p99) * 1e6,
                 summary.count);
-    benchjson::Rows::instance().add(
-        "fig8_proxy/rules=" + std::to_string(rule_count), "p50",
-        to_seconds(summary.p50) * 1e6, "us");
     agent.stop();
   }
   origin.stop();
   std::printf("\n");
 }
 
-void BM_RuleEngineWorstCase(benchmark::State& state) {
-  faults::RuleEngine engine;
-  (void)engine.add_rules(
-      non_matching_rules(static_cast<int>(state.range(0))));
-  const auto view = test_request("test-abcdef-0123456789");
-  for (auto _ : state) {
-    auto decision = engine.evaluate(view);
-    benchmark::DoNotOptimize(decision);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RuleEngineWorstCase)->Arg(1)->Arg(5)->Arg(10)->Arg(50)->Arg(100)
-    ->Arg(200);
-
-void BM_RuleEngineFirstRuleMatches(benchmark::State& state) {
-  faults::RuleEngine engine;
-  (void)engine.add_rule(
-      faults::FaultRule::delay_rule("client", "server", msec(1), "test-*"));
-  const auto view = test_request("test-1");
-  for (auto _ : state) {
-    auto decision = engine.evaluate(view);
-    benchmark::DoNotOptimize(decision);
-  }
-}
-BENCHMARK(BM_RuleEngineFirstRuleMatches);
-
-// --- LogStore query planning: request-ID index vs full scan ---
-// The checker's Table 3 queries filter by request-ID glob. Literal IDs and
-// "prefix-*" patterns are answered from the by-ID index; only irregular
-// globs ("*-suffix") fall back to scanning every record.
-void populate_store(logstore::LogStore* store, int records) {
-  logstore::RecordList batch;
-  batch.reserve(static_cast<size_t>(records));
-  for (int i = 0; i < records; ++i) {
-    logstore::LogRecord r;
-    r.timestamp = Duration(i);
-    // Half the IDs are test traffic, half background noise.
-    r.request_id = (i % 2 == 0 ? "test-" : "bg-") + std::to_string(i);
-    r.src = "client";
-    r.dst = "server";
-    r.kind = logstore::MessageKind::kRequest;
-    r.status = 200;
-    batch.push_back(std::move(r));
-  }
-  store->append_all(batch);
-}
-
-void BM_LogStoreExactIdQuery(benchmark::State& state) {
-  logstore::LogStore store;
-  populate_store(&store, static_cast<int>(state.range(0)));
-  logstore::Query q;
-  q.id_pattern = "test-" + std::to_string(state.range(0) - 2);  // literal
-  for (auto _ : state) {
-    auto hits = store.query(q);
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LogStoreExactIdQuery)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_LogStorePrefixQuery(benchmark::State& state) {
-  logstore::LogStore store;
-  populate_store(&store, static_cast<int>(state.range(0)));
-  logstore::Query q;
-  q.id_pattern = "test-1*";  // literal prefix: ordered index range scan
-  for (auto _ : state) {
-    auto hits = store.query(q);
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LogStorePrefixQuery)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_LogStoreScanQuery(benchmark::State& state) {
-  logstore::LogStore store;
-  populate_store(&store, static_cast<int>(state.range(0)));
-  logstore::Query q;
-  q.id_pattern = "*-17";  // suffix glob: no index applies, full scan
-  for (auto _ : state) {
-    auto hits = store.query(q);
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LogStoreScanQuery)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_GlobMatch(benchmark::State& state) {
-  const Glob glob("test-*-shard-[0-9]");
-  const std::string id = "test-abcdef0123456789-shard-7";
-  for (auto _ : state) {
-    bool matched = glob.matches(id);
-    benchmark::DoNotOptimize(matched);
-  }
-}
-BENCHMARK(BM_GlobMatch);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);  // stream rows as they land
-  auto& rows = benchjson::Rows::instance();
-  rows.parse_args(&argc, argv);
   std::printf("# Figure 8 — worst-case rule-matching overhead\n\n");
   engine_cdf_section();
   proxy_section();
-  benchjson::run_registered_benchmarks(&argc, argv);
-  return rows.write() ? 0 : 1;
+  return 0;
 }

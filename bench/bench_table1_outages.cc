@@ -10,13 +10,10 @@
 #include <cstdio>
 
 #include "apps/outages.h"
-#include "bench_json.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace gremlin;  // NOLINT
 
-  auto& rows = benchjson::Rows::instance();
-  rows.parse_args(&argc, argv);
   std::printf(
       "# Table 1 — real outages recreated as Gremlin recipes\n"
       "# naive = as the postmortem describes; resilient = patterns "
@@ -45,9 +42,6 @@ int main(int argc, char** argv) {
         all_expected = false;
         std::printf("    !! unexpected outcome for this variant\n");
       }
-      rows.add("table1/" + outage.id +
-                   (resilient ? "/resilient" : "/naive"),
-               "assertions_passed", static_cast<double>(passed), "count");
     }
     std::printf("\n");
   }
@@ -55,7 +49,5 @@ int main(int argc, char** argv) {
       "shape-check: every naive variant diagnosed, every resilient "
       "variant clean: %s\n",
       all_expected ? "OK" : "VIOLATED");
-  rows.add("table1", "all_expected", all_expected ? 1.0 : 0.0, "bool");
-  if (!rows.write()) return 1;
   return all_expected ? 0 : 1;
 }

@@ -107,8 +107,8 @@ struct AppSpec {
 
   // Seeded mega-topology: `tiers` x `width` services behind a "gw" gateway
   // (AppGraph::tiered), every node a single-instance default-handler
-  // service. Deterministic in (tiers, width, seed, fan_out); sized for the
-  // 100–1000 service scale-out benchmarks (docs/PERFORMANCE.md).
+  // service. Deterministic in (tiers, width, seed, fan_out); sized for
+  // 100–1000 service deployments (docs/CAMPAIGNS.md).
   static AppSpec mega(int tiers, int width, uint64_t seed = 42,
                       int fan_out = 3);
 

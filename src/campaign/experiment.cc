@@ -1,5 +1,6 @@
 #include "campaign/experiment.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace gremlin::campaign {
@@ -209,21 +210,28 @@ std::string probability_label(double p) {
 }
 
 // Cross-multiplies the probability and window axes onto a base sweep.
+// Overload experiments skip the probability axis: the kind's abort/delay
+// split is its own probability, so a p=<v> clone would repeat the same run.
 std::vector<Experiment> expand_axes(std::vector<Experiment> base,
                                     const SweepOptions& options) {
   if (options.probabilities.empty() && options.windows.empty()) return base;
   // A single-element sentinel keeps the cross product uniform; the flags
   // record whether the axis actually applies its value.
-  const bool use_p = !options.probabilities.empty();
+  const std::vector<double> no_probability{1.0};
   const bool use_w = !options.windows.empty();
-  const std::vector<double> probs =
-      use_p ? options.probabilities : std::vector<double>{1.0};
   const std::vector<SweepOptions::Window> windows =
       use_w ? options.windows : std::vector<SweepOptions::Window>{{}};
   std::vector<Experiment> out;
-  out.reserve(base.size() * probs.size() * windows.size());
+  out.reserve(base.size() * std::max<size_t>(1, options.probabilities.size()) *
+              windows.size());
   for (const auto& e : base) {
-    for (const double p : probs) {
+    const bool use_p =
+        !options.probabilities.empty() &&
+        std::none_of(e.failures.begin(), e.failures.end(),
+                     [](const FailureSpec& spec) {
+                       return spec.kind == FailureSpec::Kind::kOverload;
+                     });
+    for (const double p : use_p ? options.probabilities : no_probability) {
       for (const auto& w : windows) {
         Experiment clone = e;
         for (auto& spec : clone.failures) {

@@ -147,7 +147,9 @@ struct SweepOptions {
   // Parameter axes. When non-empty, every generated experiment is
   // replicated once per probability (id suffixed " p=<v>") and once per
   // activation window (" w=<after>+<duration>"), with the value applied to
-  // each of the clone's failure specs. Both axes cross-multiply.
+  // each of the clone's failure specs. Both axes cross-multiply. Overload
+  // experiments are not crossed with probabilities: the kind's abort/delay
+  // split is its own probability (see control::FailureSpec).
   std::vector<double> probabilities;
   struct Window {
     Duration after{};

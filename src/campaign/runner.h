@@ -73,9 +73,10 @@ struct RunnerOptions {
 
   // Timer-wheel event scheduling in every worker Simulation (see
   // sim/event_queue.h). Off forces the pure binary-heap scheduler — the
-  // pre-wheel behaviour, kept as a runtime toggle so differential tests and
-  // bench_megatopo can verify wheel-on results are byte-identical to the
-  // heap-only schedule.
+  // pre-wheel behaviour, kept as a runtime toggle so tests/differential_test
+  // can verify wheel-on results are byte-identical to the heap-only
+  // schedule. docs/PERFORMANCE.md records what the wheel saves on perfbench's
+  // mega-mixed workload.
   bool use_timer_wheel = true;
 
   // Prefix-snapshot execution (campaign/snapshot_exec.h): experiments whose
@@ -147,7 +148,7 @@ struct ExperimentResult {
   bool passed() const { return ok && checks_passed == checks.size(); }
 
   // Byte-exact digest of everything above; equal fingerprints mean equal
-  // results. Used by the determinism tests and the parallel bench.
+  // results. Used by the determinism tests and by perfbench's digests.
   std::string fingerprint() const;
 
   // Verdict-only digest: id, seed, ok/error, and each check's pass/fail by

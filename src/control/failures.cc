@@ -337,8 +337,8 @@ Result<std::vector<FaultRule>> translate_failure(
       if (!ok.ok()) return ok.error();
       ok = require_service(graph, spec.b);
       if (!ok.ok()) return ok.error();
-      rules.push_back(make_abort(spec.a, spec.b, spec.error, 1.0,
-                                 "disconnect"));
+      rules.push_back(make_abort(spec.a, spec.b, spec.error,
+                                 spec.probability, "disconnect"));
       break;
     }
     case FailureSpec::Kind::kCrash: {
@@ -354,7 +354,8 @@ Result<std::vector<FaultRule>> translate_failure(
       auto ok = require_service(graph, spec.b);
       if (!ok.ok()) return ok.error();
       for (const auto& dep : graph.dependents(spec.b)) {
-        rules.push_back(make_delay(dep, spec.b, spec.delay, 1.0, "hang"));
+        rules.push_back(make_delay(dep, spec.b, spec.delay, spec.probability,
+                                   "hang"));
       }
       break;
     }
@@ -364,7 +365,8 @@ Result<std::vector<FaultRule>> translate_failure(
       // Section 5: Abort 25% of requests with an error code, delay the rest.
       // First-match-wins evaluation with a probabilistic fall-through means
       // the delay rule sees exactly the abort rule's declined traffic, so
-      // Delay's conditional probability of 1.0 yields the 25/75 split.
+      // Delay's conditional probability of 1.0 yields the 25/75 split. The
+      // split is the scenario, so spec.probability does not apply here.
       for (const auto& dep : graph.dependents(spec.b)) {
         rules.push_back(make_abort(dep, spec.b, 503,
                                    spec.overload_abort_fraction, "overload"));
@@ -385,6 +387,7 @@ Result<std::vector<FaultRule>> translate_failure(
         r.body_pattern = spec.body_pattern;
         r.replace_bytes = spec.replace_bytes;
         r.pattern = spec.pattern;
+        r.probability = spec.probability;
         r.on = logstore::MessageKind::kResponse;
         rules.push_back(std::move(r));
       }
@@ -397,7 +400,7 @@ Result<std::vector<FaultRule>> translate_failure(
       }
       for (const auto& edge : graph.cut(spec.group)) {
         rules.push_back(make_abort(edge.src, edge.dst, faults::kTcpReset,
-                                   1.0, "partition"));
+                                   spec.probability, "partition"));
       }
       break;
     }
@@ -428,7 +431,7 @@ Result<std::vector<FaultRule>> translate_failure(
         std::set<std::string> lone{svc};
         for (const auto& edge : graph.cut(lone)) {
           FaultRule r = make_abort(edge.src, edge.dst, faults::kTcpReset,
-                                   1.0, "rolling-partition");
+                                   spec.probability, "rolling-partition");
           r.after = member_after;
           r.window_duration = spec.window;
           rules.push_back(std::move(r));

@@ -61,6 +61,8 @@ struct FailureSpec {
   std::set<std::string> group;  // partition only
 
   std::string pattern = "test-*";  // request-ID flow selector
+  // Fire probability of every lowered rule. Overload ignores it: its
+  // abort/delay split is the scenario (overload_abort_fraction).
   double probability = 1.0;
   int error = 503;                  // abort code (kTcpReset for resets)
   Duration delay = msec(100);       // delay / hang interval

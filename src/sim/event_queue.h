@@ -65,7 +65,7 @@
 // deadlines). Slot vectors and occupancy bitmaps are retained by clear(),
 // so warm-world resets schedule through the wheel with zero allocations
 // once rings reach the run's peak. set_wheel_enabled(false) routes every
-// one-shot to the heap — the baseline the mega-topology bench compares
+// one-shot to the heap — the baseline the differential tests compare
 // against.
 #pragma once
 

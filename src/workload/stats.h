@@ -1,5 +1,6 @@
-// Latency statistics helpers used by benches and examples: summaries,
-// percentiles, and CDF series matching the paper's figures.
+// Latency statistics helpers used by campaign reports, the figure
+// generators and examples: summaries, percentiles, and CDF series matching
+// the paper's figures.
 //
 // Two flavours: the batch helpers (summarize/percentile) sort a full copy
 // of the sample — exact, but O(n) memory, unusable for the 10⁶-request

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -277,6 +278,83 @@ TEST(InfraFaultTest, SlowNodeLowersToDistributionDelays) {
   EXPECT_EQ(r.type, FaultKind::kDelay);
   EXPECT_EQ(r.delay_distribution, DelayDistribution::kExponential);
   EXPECT_EQ(r.delay_mean, msec(25));
+}
+
+// --- the probability axis ----------------------------------------------------
+
+TEST(ProbabilityAxisTest, EveryLoweredRuleTakesTheSpecProbability) {
+  std::vector<FailureSpec> specs = {
+      FailureSpec::abort_edge("portal", "backend"),
+      FailureSpec::delay_edge("portal", "backend", msec(10)),
+      FailureSpec::modify_edge("portal", "backend", "a", "b"),
+      FailureSpec::disconnect("portal", "backend"),
+      FailureSpec::crash("backend"),
+      FailureSpec::hang("backend", sec(1)),
+      FailureSpec::fake_success("backend", "a", "b"),
+      FailureSpec::partition({"backend"}),
+      FailureSpec::instance_crash("backend", msec(20), msec(50)),
+      FailureSpec::rolling_partition({"search", "backend"}, msec(10),
+                                     msec(30), msec(40)),
+      FailureSpec::slow_node("backend", msec(25)),
+  };
+  for (FailureSpec& spec : specs) {
+    spec.probability = 0.25;
+    const auto rules = control::translate_failure(chain_graph(), spec);
+    ASSERT_TRUE(rules.ok()) << spec.kind_name();
+    ASSERT_FALSE(rules.value().empty()) << spec.kind_name();
+    for (const FaultRule& r : rules.value()) {
+      EXPECT_EQ(r.probability, 0.25) << spec.kind_name() << " rule " << r.id;
+    }
+  }
+
+  // Overload's abort/delay split is its own probability.
+  FailureSpec overload = FailureSpec::overload("backend");
+  overload.probability = 0.25;
+  const auto rules = control::translate_failure(chain_graph(), overload);
+  ASSERT_TRUE(rules.ok());
+  ASSERT_EQ(rules.value().size(), 2u);
+  EXPECT_EQ(rules.value()[0].probability, overload.overload_abort_fraction);
+  EXPECT_EQ(rules.value()[1].probability, 1.0);
+}
+
+// `gremlin campaign --app buggy-tree --sweep both --probabilities 0.25,1
+// --no-early-exit`: a p=0.25 disconnect fails about a quarter of the load,
+// not all of it, and overload is swept once, without a p= label.
+TEST(ProbabilityAxisTest, SweepAxisReachesEveryKindButOverload) {
+  const AppSpec app = AppSpec::buggy_tree();
+  campaign::SweepOptions sweep;
+  sweep.probabilities = {0.25, 1.0};
+  const auto experiments = campaign::generate_sweep(app, app.probe_graph(),
+                                                    sweep);
+  RunnerOptions options;
+  options.early_exit = false;
+  const CampaignResult result = CampaignRunner(options).run(experiments);
+
+  std::map<std::string, const campaign::ExperimentResult*> by_id;
+  size_t overloads = 0;
+  for (size_t i = 0; i < experiments.size(); ++i) {
+    by_id[result.experiments[i].id] = &result.experiments[i];
+    if (experiments[i].failures.front().kind == FailureSpec::Kind::kOverload) {
+      ++overloads;
+      EXPECT_EQ(experiments[i].id.find(" p="), std::string::npos)
+          << experiments[i].id;
+      EXPECT_EQ(search::describe(experiments[i].failures.front()),
+                experiments[i].id);
+    }
+  }
+  EXPECT_GT(overloads, 0u);
+
+  for (const char* kind : {"disconnect(svc0->svc2)", "abort(svc0->svc2)"}) {
+    SCOPED_TRACE(kind);
+    const auto quarter = by_id.find(std::string(kind) + " p=0.25");
+    const auto always = by_id.find(std::string(kind) + " p=1");
+    ASSERT_NE(quarter, by_id.end());
+    ASSERT_NE(always, by_id.end());
+    ASSERT_TRUE(quarter->second->ok && always->second->ok);
+    EXPECT_EQ(always->second->failures, always->second->requests);
+    EXPECT_GT(quarter->second->failures, 0u);
+    EXPECT_LT(quarter->second->failures * 2, quarter->second->requests);
+  }
 }
 
 control::LoadOptions small_load(size_t count = 30, Duration gap = msec(5)) {
