@@ -88,38 +88,8 @@ CheckSpec CheckSpec::max_user_failures(size_t max_failures) {
 
 CheckResult CheckSpec::evaluate(const control::AssertionChecker& checker,
                                 const control::LoadResult& load) const {
-  switch (kind) {
-    case Kind::kHasTimeouts:
-      return checker.has_timeouts(a, bound, id_pattern);
-    case Kind::kHasBoundedRetries:
-      return checker.has_bounded_retries(a, b, threshold, id_pattern);
-    case Kind::kHasCircuitBreaker:
-      return checker.has_circuit_breaker(a, b, threshold, bound,
-                                         success_threshold, id_pattern);
-    case Kind::kHasBulkhead:
-      return checker.has_bulkhead(a, b, value, id_pattern);
-    case Kind::kHasLatencySlo:
-      return checker.has_latency_slo(a, b, percentile, bound, with_rule,
-                                     id_pattern);
-    case Kind::kErrorRateBelow:
-      return checker.error_rate_below(a, b, value, id_pattern);
-    case Kind::kFailureContained:
-      return checker.failure_contained(a, id_pattern);
-    case Kind::kMaxUserFailures: {
-      const auto max_failures = static_cast<size_t>(value);
-      CheckResult r;
-      r.name = "MaxUserFailures(" + std::to_string(max_failures) + ")";
-      r.passed = load.failures <= max_failures;
-      r.detail = std::to_string(load.failures) + "/" +
-                 std::to_string(load.total()) +
-                 " injected requests saw a user-visible failure";
-      return r;
-    }
-  }
-  CheckResult r;
-  r.name = "UnknownCheck";
-  r.detail = "unhandled check kind";
-  return r;
+  return checker.evaluate(*incremental(checker.graph(), load.total()),
+                          control::LoadSummary{load.total(), load.failures});
 }
 
 std::unique_ptr<control::IncrementalCheck> CheckSpec::incremental(
@@ -142,12 +112,12 @@ std::unique_ptr<control::IncrementalCheck> CheckSpec::incremental(
     case Kind::kErrorRateBelow:
       return control::make_incremental_error_rate(a, b, value, id_pattern);
     case Kind::kFailureContained:
-      return nullptr;  // no incremental form: opaque, blocks early exit
+      return control::make_incremental_failure_contained(a, id_pattern);
     case Kind::kMaxUserFailures:
-      return control::make_incremental_max_user_failures(
-          static_cast<size_t>(value), expected_total);
+      break;
   }
-  return nullptr;
+  return control::make_incremental_max_user_failures(
+      static_cast<size_t>(value), expected_total);
 }
 
 namespace {

@@ -70,21 +70,18 @@ struct CheckSpec {
   static CheckSpec failure_contained(std::string origin);
   static CheckSpec max_user_failures(size_t max_failures);
 
-  // Evaluates against the collected logs (and the load outcome, for
-  // kMaxUserFailures).
-  control::CheckResult evaluate(const control::AssertionChecker& checker,
-                                const control::LoadResult& load) const;
-
-  // Incremental (online) equivalent: a state machine fed one record at a
-  // time while the experiment runs, enabling early termination the moment
-  // every attached check has a final verdict. Returns nullptr for kinds
-  // with no incremental form (kFailureContained) — an opaque check that
-  // blocks early exit; the runner falls back to evaluate() for it.
-  // `expected_total` is the configured load count (kMaxUserFailures can
-  // early-PASS once all responses arrived within budget); `graph` is
-  // needed by kHasBulkhead's dependency enumeration.
+  // The check's state machine (control/online.h), the one implementation
+  // of every kind; never null. The runner streams records into it while
+  // the experiment runs. `expected_total` is the configured load count
+  // (kMaxUserFailures can early-PASS once all responses arrived within
+  // budget); `graph` is needed by kHasBulkhead's dependency enumeration.
   std::unique_ptr<control::IncrementalCheck> incremental(
       const topology::AppGraph* graph, size_t expected_total) const;
+
+  // Post hoc: incremental() fed the collected logs through `checker` (and
+  // the load outcome, for kMaxUserFailures).
+  control::CheckResult evaluate(const control::AssertionChecker& checker,
+                                const control::LoadResult& load) const;
 };
 
 // One isolated experiment. Executed by CampaignRunner::run_one on a fresh

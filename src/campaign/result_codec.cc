@@ -1,24 +1,6 @@
 #include "campaign/result_codec.h"
 
-#include <cstring>
-
 namespace gremlin::campaign {
-namespace {
-
-uint64_t double_bits(double v) {
-  uint64_t u = 0;
-  static_assert(sizeof(u) == sizeof(v));
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
-
-double bits_double(uint64_t u) {
-  double v = 0;
-  std::memcpy(&v, &u, sizeof(v));
-  return v;
-}
-
-}  // namespace
 
 void encode_result(const ExperimentResult& result, wire::Writer* w) {
   w->u8(kResultWireVersion);
@@ -91,74 +73,6 @@ std::string encode_result(const ExperimentResult& result) {
 bool decode_result(std::string_view bytes, ExperimentResult* result) {
   wire::Reader r(bytes);
   if (!decode_result(&r, result)) return false;
-  return r.remaining() == 0;
-}
-
-void encode_rule(const faults::FaultRule& rule, wire::Writer* w) {
-  w->u8(kRuleWireVersion);
-  w->str(rule.id);
-  w->str(rule.source);
-  w->str(rule.destination);
-  w->u8(static_cast<uint8_t>(rule.type));
-  w->u8(static_cast<uint8_t>(rule.on));
-  w->str(rule.pattern);
-  w->u64(double_bits(rule.probability));
-  w->i32(rule.abort_code);
-  w->i64(rule.delay_interval.count());
-  w->u8(static_cast<uint8_t>(rule.delay_distribution));
-  w->i64(rule.delay_min.count());
-  w->i64(rule.delay_max.count());
-  w->i64(rule.delay_mean.count());
-  w->u64(rule.delay_values.size());
-  for (const Duration d : rule.delay_values) w->i64(d.count());
-  w->i64(rule.after.count());
-  w->i64(rule.window_duration.count());
-  w->str(rule.body_pattern);
-  w->str(rule.replace_bytes);
-  w->u64(rule.max_matches);
-}
-
-bool decode_rule(wire::Reader* r, faults::FaultRule* rule) {
-  if (r->u8() != kRuleWireVersion) return false;
-  faults::FaultRule out;
-  out.id = r->str();
-  out.source = r->str();
-  out.destination = r->str();
-  out.type = static_cast<faults::FaultKind>(r->u8());
-  out.on = static_cast<logstore::MessageKind>(r->u8());
-  out.pattern = r->str();
-  out.probability = bits_double(r->u64());
-  out.abort_code = r->i32();
-  out.delay_interval = Duration(r->i64());
-  out.delay_distribution = static_cast<faults::DelayDistribution>(r->u8());
-  out.delay_min = Duration(r->i64());
-  out.delay_max = Duration(r->i64());
-  out.delay_mean = Duration(r->i64());
-  const uint64_t values = r->u64();
-  if (!r->ok() || values > r->remaining()) return false;  // ≥1 byte/value
-  out.delay_values.reserve(values);
-  for (uint64_t i = 0; i < values; ++i) {
-    out.delay_values.push_back(Duration(r->i64()));
-  }
-  out.after = Duration(r->i64());
-  out.window_duration = Duration(r->i64());
-  out.body_pattern = r->str();
-  out.replace_bytes = r->str();
-  out.max_matches = r->u64();
-  if (!r->ok()) return false;
-  *rule = std::move(out);
-  return true;
-}
-
-std::string encode_rule(const faults::FaultRule& rule) {
-  wire::Writer w;
-  encode_rule(rule, &w);
-  return w.take();
-}
-
-bool decode_rule(std::string_view bytes, faults::FaultRule* rule) {
-  wire::Reader r(bytes);
-  if (!decode_rule(&r, rule)) return false;
   return r.remaining() == 0;
 }
 

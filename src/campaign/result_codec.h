@@ -29,9 +29,6 @@ namespace gremlin::campaign {
 // the old vocabulary.
 inline constexpr uint8_t kResultWireVersion = 3;  // v3: snapshot stats
 
-// FaultRule codec version, bumped independently of the result layout.
-inline constexpr uint8_t kRuleWireVersion = 1;
-
 // Appends the versioned encoding of `result` to `w`.
 void encode_result(const ExperimentResult& result, wire::Writer* w);
 
@@ -42,15 +39,5 @@ bool decode_result(wire::Reader* r, ExperimentResult* result);
 // Whole-buffer conveniences.
 std::string encode_result(const ExperimentResult& result);
 bool decode_result(std::string_view bytes, ExperimentResult* result);
-
-// FaultRule codec: the full Table 2 vocabulary including the probabilistic,
-// distribution-valued, and time-bounded fields — exact (durations as tick
-// counts, probability by bit pattern), so a rule survives a round trip
-// byte-for-byte. Used for shipping rule sets to out-of-process agents and
-// covered by the wire_test fuzz.
-void encode_rule(const faults::FaultRule& rule, wire::Writer* w);
-bool decode_rule(wire::Reader* r, faults::FaultRule* rule);
-std::string encode_rule(const faults::FaultRule& rule);
-bool decode_rule(std::string_view bytes, faults::FaultRule* rule);
 
 }  // namespace gremlin::campaign

@@ -26,13 +26,6 @@ void append_duration(std::string* out, Duration d) {
   *out += ',';
 }
 
-// Bounded-memory retention for runs whose checks consume records online:
-// once the store exceeds this many records, the oldest half is evicted.
-// Online checks have already consumed every record when it is appended, so
-// no live check can still reference a dropped one. Not applied when the
-// run preserves its log.
-constexpr size_t kRetentionLimit = 16384;
-
 // Virtual-time drain cadence of the streaming collector.
 constexpr Duration kStreamInterval = msec(5);
 
@@ -204,20 +197,13 @@ ExperimentResult CampaignRunner::run_prepared(const Experiment& experiment,
 ExperimentBody::ExperimentBody(const Experiment& experiment,
                                const topology::AppGraph* graph,
                                const ExecOptions& exec)
-    : experiment_(experiment), exec_(exec) {
-  // One incremental state machine per declarative check, fed every log
-  // record the moment it is appended (plus every user-visible response).
-  // Verdicts are sticky; once all of them are final the remaining
-  // simulation cannot change the outcome, so the run stops early. A check
-  // with no incremental form (FailureContained) disables the whole online
-  // path for this experiment: the run falls back to the untouched post-hoc
-  // flow, byte-identical to early_exit=false.
-  use_online_ = exec.early_exit && !experiment.checks.empty();
-  if (!use_online_) return;
+    : exec_(exec) {
+  // One state machine per declarative check, fed every log record the
+  // stream collector drains (plus every user-visible response). They are
+  // the only evaluators: with early exit off they simply see the whole run.
   for (const auto& spec : experiment.checks) {
     online_.add(spec.incremental(graph, experiment.load.count));
   }
-  if (!online_.all_incremental()) use_online_ = false;
 }
 
 bool ExperimentBody::apply_failures(const Experiment& experiment,
@@ -240,41 +226,39 @@ ExperimentResult ExperimentBody::run(ExperimentResult result,
                                      control::TestSession* session,
                                      const Drive& drive) {
   sim::Simulation& sim = session->sim();
-  const bool wants_records = use_online_ && online_.wants_records();
-  // Load-only check sets that also skip the post-hoc collect never read a
-  // single record. Rather than buffering ~1k records per run in the
-  // sidecars and draining them onto the floor, switch observation capture
-  // off for the whole run: the data plane skips LogRecord construction
-  // entirely. Fault injection and the event timeline are untouched, so
-  // results stay byte-identical (the records never reached a fingerprint
-  // in this mode anyway).
-  const bool suppress_records =
-      use_online_ && !exec_.preserve_log && !wants_records;
-  const bool bounded = wants_records && !exec_.preserve_log;
+  const bool wants_records = online_.wants_records();
+  // Verdicts are sticky: once every check holds one, the rest of the
+  // simulation cannot change the outcome, so early exit stops the run.
+  const auto stop_if_decided = [this, &sim] {
+    if (exec_.early_exit && online_.all_decided()) sim.request_stop();
+  };
+  // Load-only check sets that do not preserve the log never read a single
+  // record. Rather than buffering ~1k records per run in the sidecars and
+  // draining them onto the floor, switch observation capture off for the
+  // whole run: the data plane skips LogRecord construction entirely. Fault
+  // injection and the event timeline are untouched, so results stay
+  // byte-identical.
+  const bool suppress_records = !exec_.preserve_log && !wants_records;
 
-  // Record-consuming checks need the stream shipped into the store (the
-  // append observer feeds them).
+  // Record-consuming checks get each drained, time-sorted batch directly;
+  // the store only keeps it for a caller that reads the log afterwards.
   std::optional<control::SimStreamCollector> collector;
   if (wants_records) {
-    collector.emplace(&sim, control::SimStreamCollector::Mode::kAppendToStore,
-                      kStreamInterval);
+    collector.emplace(
+        &sim,
+        [this, &sim, &stop_if_decided](logstore::RecordList&& batch) {
+          for (const auto& record : batch) online_.offer(record);
+          stop_if_decided();
+          if (exec_.preserve_log) sim.log_store().append_all(std::move(batch));
+        },
+        kStreamInterval);
   }
   if (suppress_records) sim.set_recording(false);
-  if (wants_records) {
-    sim.log_store().set_observer(
-        [this, &sim](const logstore::LogRecord& record) {
-          online_.offer(record);
-          if (online_.all_decided()) sim.request_stop();
-        });
-    if (bounded) sim.log_store().set_retention_limit(kRetentionLimit);
-  }
-  std::function<void(bool failed)> on_response;
-  if (use_online_) {
-    on_response = [this, &sim](bool failed) {
-      online_.on_user_response(failed);
-      if (online_.all_decided()) sim.request_stop();
-    };
-  }
+  std::function<void(bool failed)> on_response =
+      [this, &stop_if_decided](bool failed) {
+        online_.on_user_response(failed);
+        stop_if_decided();
+      };
 
   const control::LoadResult load =
       drive(collector ? &*collector : nullptr, std::move(on_response));
@@ -287,19 +271,14 @@ ExperimentResult ExperimentBody::run(ExperimentResult result,
   }
 
   if (collector) collector->drain_now();  // final flush feeds the checks' tail
-  if (wants_records) {
-    sim.log_store().set_observer(nullptr);
-    sim.log_store().set_retention_limit(0);
-  }
   if (suppress_records) sim.set_recording(true);
   // Drop whatever an early stop left on the timeline (and the collector's
   // pending drain), so a kept-alive sim is clean for its next run.
   sim.cancel_pending();
 
-  // When every check already consumed the stream online and nobody needs
-  // the log afterwards, the post-hoc collect is pure overhead — skip it.
-  const bool skip_collect = use_online_ && !exec_.preserve_log;
-  if (!skip_collect) {
+  // The checks consumed the stream as it went; only a caller that reads
+  // the log afterwards needs what was not streamed collected into the store.
+  if (exec_.preserve_log) {
     auto collected = session->collect();
     if (!collected.ok()) {
       result.error = "collect: " + collected.error().message;
@@ -307,20 +286,11 @@ ExperimentResult ExperimentBody::run(ExperimentResult result,
     }
   }
 
-  if (use_online_) {
-    const control::LoadSummary summary{load.total(), load.failures};
-    for (size_t i = 0; i < online_.size(); ++i) {
-      control::CheckResult outcome = online_.check(i)->finalize(summary);
-      if (outcome.passed) ++result.checks_passed;
-      result.checks.push_back(std::move(outcome));
-    }
-  } else {
-    const control::AssertionChecker checker = session->checker();
-    for (const auto& check : experiment_.checks) {
-      control::CheckResult outcome = check.evaluate(checker, load);
-      if (outcome.passed) ++result.checks_passed;
-      result.checks.push_back(std::move(outcome));
-    }
+  const control::LoadSummary summary{load.total(), load.failures};
+  for (size_t i = 0; i < online_.size(); ++i) {
+    control::CheckResult outcome = online_.check(i)->finalize(summary);
+    if (outcome.passed) ++result.checks_passed;
+    result.checks.push_back(std::move(outcome));
   }
   result.ok = true;
   return result;

@@ -53,9 +53,9 @@ struct RunnerOptions {
   // very large sweeps; fingerprints then cover verdicts + counters only).
   bool keep_latencies = true;
 
-  // Online assertion checking with early termination: attach incremental
-  // check state machines to the run and stop the simulation the moment
-  // every check has a final (sticky) verdict. Verdicts are unchanged; raw
+  // Early termination: every run streams its records into the checks'
+  // state machines; with this on, the simulation stops the moment every
+  // check has a final (sticky) verdict. Verdicts are unchanged; raw
   // counters/latencies of a stopped run cover only the completed prefix,
   // so disable this (--no-early-exit) when fingerprints must be
   // byte-identical to a full run.
@@ -102,9 +102,10 @@ struct ExecOptions {
   // Stop the simulation once every attached check reached a final verdict.
   bool early_exit = true;
 
-  // Keep the full log in sim->log_store() after the run (disables bounded
-  // retention and the collect-skip shortcut). Required by callers that
-  // read the log afterwards, e.g. call-graph extraction.
+  // Keep the full log in sim->log_store() after the run (streamed records
+  // are appended to the store too, record suppression is off, and what was
+  // not streamed is collected). Required by callers that read the log
+  // afterwards, e.g. call-graph extraction.
   bool preserve_log = false;
 
   // Scheduler selection for the private Simulation (RunnerOptions
@@ -220,23 +221,22 @@ class CampaignRunner {
 };
 
 // The experiment body both execution paths share: run_prepared and the
-// prefix-snapshot path (campaign/snapshot_exec.h). It owns the online
-// checker, the record-capture and retention flags, the log and response
-// observers, the final drain and teardown, the collect and the verdicts;
-// each path keeps only how it installs faults and drives the load.
+// prefix-snapshot path (campaign/snapshot_exec.h). It owns the check state
+// machines, the record-capture flag, the stream collector and response
+// observer that feed them, the final drain and teardown, the collect and
+// the verdicts; each path keeps only how it installs faults and drives the
+// load.
 // Internal: callers want CampaignRunner::run_one or WarmWorld::run.
 class ExperimentBody {
  public:
   // Drives the load to completion: gets the streaming collector (null
-  // unless the checks consume records) and the response observer (empty
-  // unless the run checks online), detaches the observer once the
-  // simulation stops, and returns the load's outcome.
+  // unless the checks consume records) and the response observer, detaches
+  // the observer once the simulation stops, and returns the load's outcome.
   using Drive = InlineFunction<control::LoadResult(
       control::SimStreamCollector* collector,
       std::function<void(bool failed)> on_response)>;
 
-  // Builds the online checker when `exec` asks for early exit and every
-  // check of `experiment` has an incremental form.
+  // Builds one state machine per check of `experiment`.
   ExperimentBody(const Experiment& experiment,
                  const topology::AppGraph* graph, const ExecOptions& exec);
 
@@ -244,11 +244,14 @@ class ExperimentBody {
   ExperimentBody(const ExperimentBody&) = delete;
   ExperimentBody& operator=(const ExperimentBody&) = delete;
 
-  // The online checker, or null when the run checks post hoc.
-  control::OnlineChecker* online() { return use_online_ ? &online_ : nullptr; }
+  // The experiment's checks. Every run streams records and user-visible
+  // responses into them and finalizes them into the verdicts.
+  control::OnlineChecker& online() { return online_; }
 
   // Wires the observers around `drive`, then drains, tears down, collects
-  // and checks. `result` arrives with id, seed and installed rules set.
+  // (preserve_log only) and finalizes the checks; with early_exit, the run
+  // stops once every check is decided. `result` arrives with id, seed and
+  // installed rules set.
   ExperimentResult run(ExperimentResult result, control::TestSession* session,
                        const Drive& drive);
 
@@ -260,10 +263,8 @@ class ExperimentBody {
                              ExperimentResult* result);
 
  private:
-  const Experiment& experiment_;
   const ExecOptions& exec_;
   control::OnlineChecker online_;
-  bool use_online_ = false;
 };
 
 }  // namespace gremlin::campaign

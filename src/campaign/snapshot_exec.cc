@@ -137,13 +137,16 @@ std::optional<ExperimentResult> SnapshotCache::run(
 
   // --- early-exit tape replay (before touching the sim) -------------------
   ExperimentBody body(experiment, graph, exec);
-  if (control::OnlineChecker* online = body.online()) {
+  if (exec.early_exit) {
     // The prefix appends nothing to the store (the collector only drains
     // at the end of a run), so mid-prefix stops can only come from user
-    // responses: the tape reconstructs them exactly.
+    // responses: the tape reconstructs them exactly. Without early exit
+    // nothing can stop the prefix, and no verdict reads the responses (a
+    // load-based check finalizes from the LoadResult).
+    control::OnlineChecker& online = body.online();
     for (const bool failed : entry->response_tape) {
-      online->on_user_response(failed);
-      if (online->all_decided()) {
+      online.on_user_response(failed);
+      if (online.all_decided()) {
         // A cold run would have stopped inside the prefix; that partial
         // run cannot be reproduced from the snapshot.
         return std::nullopt;

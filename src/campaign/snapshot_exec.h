@@ -19,11 +19,13 @@
 //
 // Early exit needs one more piece: a cold early-exit run can stop *during*
 // the prefix (a purely load-based check deciding on an early response). The
-// entry records the prefix's per-response failed flags; before restoring,
-// the sibling replays that tape into its fresh OnlineChecker — if every
-// check decides mid-tape, the cold run would have stopped inside the
-// prefix, and the sibling falls back to the warm-world path (return
-// nullopt) rather than reproduce a partial prefix.
+// entry records the prefix's per-response failed flags; with early exit on,
+// the sibling replays that tape into its fresh check machines before
+// restoring — if every check decides mid-tape, the cold run would have
+// stopped inside the prefix, and the sibling falls back to the warm-world
+// path (return nullopt) rather than reproduce a partial prefix. With early
+// exit off the tape is not replayed: nothing stops the prefix, and verdicts
+// finalize from the records and the LoadResult.
 //
 // Eligibility: declarative experiments on reusable specs whose failure
 // specs all have `after >= 1 tick` (and none is kInstanceCrash, which
@@ -38,8 +40,8 @@
 // gracefully to the warm-world path.
 //
 // The experiment itself runs through the ExperimentBody that
-// CampaignRunner::run_prepared also runs (campaign/runner.h): online
-// checker, observers, drain, collect and verdicts are shared code. This
+// CampaignRunner::run_prepared also runs (campaign/runner.h): check
+// machines, observers, drain, collect and verdicts are shared code. This
 // path keeps only the tape replay, the restore, installing the faults on
 // the restored world, and driving the load through the entry's driver.
 // Contract: for eligible experiments the returned result is byte-identical

@@ -5,6 +5,12 @@
 // that validate presence of the resiliency patterns of Section 2.1. Every
 // check returns a CheckResult carrying a human-readable explanation — the
 // "quick feedback" the paper argues systematic testing must provide.
+//
+// The checks themselves are the incremental state machines of
+// control/online.h: each pattern method builds its machine, streams the
+// machine's query() over the store into it, and finalizes it. The campaign
+// runner streams the same machines while an experiment runs, so online and
+// post-hoc checking share one implementation per check kind.
 #pragma once
 
 #include <optional>
@@ -16,6 +22,9 @@
 #include "topology/graph.h"
 
 namespace gremlin::control {
+
+class IncrementalCheck;
+struct LoadSummary;
 
 struct CheckResult {
   bool passed = false;
@@ -116,7 +125,13 @@ class AssertionChecker {
   CheckResult failure_contained(const std::string& origin_service,
                                 const std::string& id_pattern = "*") const;
 
+  // Streams the records of `check`'s query() over the store into it (none
+  // for load-based checks) and returns its finalized result.
+  CheckResult evaluate(IncrementalCheck& check,
+                       const LoadSummary& load) const;
+
   const logstore::LogStore& store() const { return *store_; }
+  const topology::AppGraph* graph() const { return graph_; }
 
  private:
   const logstore::LogStore* store_;

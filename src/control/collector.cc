@@ -53,16 +53,6 @@ void LogCollector::run() {
 void SimStreamCollector::start() { arm(); }
 
 void SimStreamCollector::drain() {
-  if (mode_ == Mode::kDiscard) {
-    // Nobody reads a discarded batch: drop each buffer as it is drained,
-    // skipping the concatenate-and-merge entirely.
-    for (const auto& agent : sim_->deployment().all_agents()) {
-      auto records = agent->drain_records();
-      if (records.ok()) records_streamed_ += records->size();
-    }
-    ++drains_;
-    return;
-  }
   batch_.clear();
   // Per-agent buffers are individually time-ordered (sidecars stamp
   // sim().now(), which is monotone). Concatenate in the deployment's
@@ -87,10 +77,8 @@ void SimStreamCollector::drain() {
   ++drains_;
   if (batch_.empty()) return;
   records_streamed_ += batch_.size();
-  if (mode_ == Mode::kAppendToStore) {
-    sim_->log_store().append_all(std::move(batch_));
-    batch_ = logstore::RecordList{};
-  }
+  sink_(std::move(batch_));
+  batch_ = logstore::RecordList{};
 }
 
 void SimStreamCollector::arm() {

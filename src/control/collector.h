@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -56,13 +57,12 @@ class LogCollector {
   std::atomic<uint64_t> records_shipped_{0};
 };
 
-// SimStreamCollector: the simulated counterpart of LogCollector, feeding the
-// online checker pipeline. Instead of a background thread, it schedules a
-// recurring *virtual-time* drain event on the simulation: each drain moves
-// every agent's buffered observations out, merges them into one
+// SimStreamCollector: the simulated counterpart of LogCollector, feeding an
+// experiment's check state machines. Instead of a background thread, it
+// schedules a recurring *virtual-time* drain event on the simulation: each
+// drain moves every agent's buffered observations out, merges them into one
 // chronologically-sorted batch (stable on ties, so agent order breaks them
-// deterministically), and ships the batch to the sim's LogStore — whose
-// append observer feeds the incremental checks.
+// deterministically), and hands the batch to its sink.
 //
 // The drain cadence adapts to the timeline: the next drain is scheduled at
 // max(now + interval, next pending event), so sparse timelines (an hour-long
@@ -73,15 +73,12 @@ class LogCollector {
 // call drain_now() after the run for the final flush.
 class SimStreamCollector {
  public:
-  enum class Mode {
-    kAppendToStore,  // ship to the LogStore (record-consuming checks)
-    kDiscard,        // drop after draining (bounds agent-buffer memory when
-                     // only load-based checks are attached)
-  };
+  // Receives each non-empty drained batch, time-sorted.
+  using Sink = std::function<void(logstore::RecordList&& batch)>;
 
-  SimStreamCollector(sim::Simulation* sim, Mode mode,
+  SimStreamCollector(sim::Simulation* sim, Sink sink,
                      Duration interval = msec(5))
-      : sim_(sim), mode_(mode), interval_(interval) {}
+      : sim_(sim), sink_(std::move(sink)), interval_(interval) {}
 
   SimStreamCollector(const SimStreamCollector&) = delete;
   SimStreamCollector& operator=(const SimStreamCollector&) = delete;
@@ -100,7 +97,7 @@ class SimStreamCollector {
   void arm();
 
   sim::Simulation* sim_;
-  Mode mode_;
+  Sink sink_;
   Duration interval_;
   logstore::RecordList batch_;  // reused across drains
   size_t drains_ = 0;

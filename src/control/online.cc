@@ -5,6 +5,7 @@
 
 #include "common/intern.h"
 #include "control/assertions.h"
+#include "trace/trace.h"
 
 namespace gremlin::control {
 
@@ -45,8 +46,8 @@ struct LazySymbol {
 };
 
 // The (src, dst, kind, id) filter every record-consuming check applies;
-// mirrors logstore::Query semantics so a check fed the full time-sorted
-// stream sees exactly the records its post-hoc query would visit.
+// mirrors logstore::Query semantics, so a check fed the full time-sorted
+// stream sees exactly the records its query() visits in a store.
 struct RecordFilter {
   LazySymbol src;
   LazySymbol dst;
@@ -68,6 +69,16 @@ struct RecordFilter {
     if (!any_kind && r.kind != kind) return false;
     if (!glob.match_all() && !glob.matches(r.request_id)) return false;
     return true;
+  }
+
+  logstore::Query query() const {
+    logstore::Query q;
+    q.src = src.name;
+    q.dst = dst.name;
+    q.id_pattern = glob.pattern();
+    q.kind = kind;
+    q.any_kind = any_kind;
+    return q;
   }
 };
 
@@ -104,6 +115,8 @@ class IncTimeouts final : public IncrementalCheck {
       decide(Verdict::kFail);
     }
   }
+
+  logstore::Query query() const override { return filter_.query(); }
 
   CheckResult finalize(const LoadSummary&) const override {
     CheckResult result;
@@ -179,6 +192,8 @@ class IncBoundedRetries final : public IncrementalCheck {
     if (f.saw_failure && f.attempts > allowed_) decide(Verdict::kFail);
   }
 
+  logstore::Query query() const override { return filter_.query(); }
+
   CheckResult finalize(const LoadSummary&) const override {
     CheckResult result;
     result.name = "HasBoundedRetries(" + fmt_edge(src_, dst_) + ", " +
@@ -252,6 +267,8 @@ class IncBoundedRetriesWindowed final : public IncrementalCheck {
     chain_.feed(r);
     decide(chain_.verdict());
   }
+
+  logstore::Query query() const override { return filter_.query(); }
 
   CheckResult finalize(const LoadSummary&) const override {
     CheckResult result;
@@ -336,6 +353,8 @@ class IncCircuitBreaker final : public IncrementalCheck {
     }
   }
 
+  logstore::Query query() const override { return filter_.query(); }
+
   CheckResult finalize(const LoadSummary&) const override {
     CheckResult result;
     result.name = "HasCircuitBreaker(" + fmt_edge(src_, dst_) + ", " +
@@ -408,8 +427,8 @@ class IncBulkhead final : public IncrementalCheck {
         filter_(src_, "", MessageKind::kRequest, /*any=*/false,
                 std::move(id_pattern)) {
     if (graph != nullptr) {
-      // Capture dependency order now: finalize must render per-dep rates in
-      // the same order the post-hoc checker iterates them.
+      // Capture dependency order now: finalize renders per-dep rates in
+      // the graph's dependency order.
       for (const auto& dep : graph->dependencies(src_)) {
         if (dep == slow_dst_) continue;
         deps_.push_back(DepState{dep, LazySymbol{dep, std::nullopt}});
@@ -427,6 +446,8 @@ class IncBulkhead final : public IncrementalCheck {
       return;
     }
   }
+
+  logstore::Query query() const override { return filter_.query(); }
 
   CheckResult finalize(const LoadSummary&) const override {
     CheckResult result;
@@ -500,6 +521,8 @@ class IncLatencySlo final : public IncrementalCheck {
     latencies_.push_back(adjusted < kDurationZero ? kDurationZero : adjusted);
   }
 
+  logstore::Query query() const override { return filter_.query(); }
+
   CheckResult finalize(const LoadSummary&) const override {
     CheckResult result;
     result.name = "HasLatencySLO(" + fmt_edge(src_, dst_) + ", p" +
@@ -553,6 +576,8 @@ class IncErrorRate final : public IncrementalCheck {
     // The rate can still move either way; no early verdict.
   }
 
+  logstore::Query query() const override { return filter_.query(); }
+
   CheckResult finalize(const LoadSummary&) const override {
     CheckResult result;
     result.name = "ErrorRateBelow(" + fmt_edge(src_, dst_) + ", " +
@@ -577,6 +602,62 @@ class IncErrorRate final : public IncrementalCheck {
   RecordFilter filter_;
   size_t failed_ = 0;
   size_t replies_ = 0;
+};
+
+// --- FailureContained -------------------------------------------------------
+
+class IncFailureContained final : public IncrementalCheck {
+ public:
+  IncFailureContained(std::string origin_service, std::string id_pattern)
+      : origin_service_(std::move(origin_service)),
+        filter_("", "", MessageKind::kRequest, /*any=*/true,
+                std::move(id_pattern)) {}
+
+  void offer(const LogRecord& r) override {
+    // Trace reconstruction needs whole flows in hand, so this is the one
+    // check that keeps copies of its records. No early verdict: a later
+    // record can still add a flow or fail a root span.
+    if (filter_.matches(r)) records_.push_back(r);
+  }
+
+  logstore::Query query() const override { return filter_.query(); }
+
+  CheckResult finalize(const LoadSummary&) const override {
+    CheckResult result;
+    result.name = "FailureContained(" + origin_service_ + ")";
+    const auto traces = trace::build_traces(records_);
+
+    size_t originating_flows = 0;
+    size_t escaped = 0;
+    for (const auto& t : traces) {
+      const auto chain = t.failure_chain();
+      if (chain.empty()) continue;
+      if (t.spans[chain.back()].dst != origin_service_) continue;
+      ++originating_flows;
+      // The chain runs root → origin; containment means the root span (the
+      // user-facing call) did not itself fail.
+      if (t.spans[chain.front()].failed() &&
+          !t.spans[chain.front()].parent.has_value()) {
+        ++escaped;
+      }
+    }
+    if (originating_flows == 0) {
+      result.passed = false;
+      result.detail = "no failures originating at " + origin_service_ +
+                      " observed; cannot verify containment";
+      return result;
+    }
+    result.passed = escaped == 0;
+    result.detail = std::to_string(originating_flows) + " flows failed at " +
+                    origin_service_ + "; " + std::to_string(escaped) +
+                    " escaped to the user-facing edge";
+    return result;
+  }
+
+ private:
+  const std::string origin_service_;
+  RecordFilter filter_;
+  logstore::RecordList records_;
 };
 
 // --- MaxUserFailures --------------------------------------------------------
@@ -813,6 +894,12 @@ std::unique_ptr<IncrementalCheck> make_incremental_error_rate(
                                         max_fraction, std::move(id_pattern));
 }
 
+std::unique_ptr<IncrementalCheck> make_incremental_failure_contained(
+    std::string origin_service, std::string id_pattern) {
+  return std::make_unique<IncFailureContained>(std::move(origin_service),
+                                               std::move(id_pattern));
+}
+
 std::unique_ptr<IncrementalCheck> make_incremental_max_user_failures(
     size_t max_failures, size_t expected_total) {
   return std::make_unique<IncMaxUserFailures>(max_failures, expected_total);
@@ -821,35 +908,26 @@ std::unique_ptr<IncrementalCheck> make_incremental_max_user_failures(
 // --- OnlineChecker ----------------------------------------------------------
 
 void OnlineChecker::add(std::unique_ptr<IncrementalCheck> check) {
-  if (check == nullptr) has_opaque_ = true;
   checks_.push_back(std::move(check));
 }
 
 bool OnlineChecker::wants_records() const {
-  for (const auto& c : checks_) {
-    if (c != nullptr && c->wants_records()) return true;
-  }
-  return has_opaque_;
+  return std::any_of(checks_.begin(), checks_.end(),
+                     [](const auto& c) { return c->wants_records(); });
 }
 
 void OnlineChecker::offer(const logstore::LogRecord& r) {
-  for (auto& c : checks_) {
-    if (c != nullptr) c->offer(r);
-  }
+  for (auto& c : checks_) c->offer(r);
 }
 
 void OnlineChecker::on_user_response(bool failed) {
-  for (auto& c : checks_) {
-    if (c != nullptr) c->on_user_response(failed);
-  }
+  for (auto& c : checks_) c->on_user_response(failed);
 }
 
 bool OnlineChecker::all_decided() const {
-  if (has_opaque_ || checks_.empty()) return false;
-  for (const auto& c : checks_) {
-    if (!c->decided()) return false;
-  }
-  return true;
+  return !checks_.empty() &&
+         std::all_of(checks_.begin(), checks_.end(),
+                     [](const auto& c) { return c->decided(); });
 }
 
 }  // namespace gremlin::control

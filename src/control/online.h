@@ -1,27 +1,26 @@
-// Online assertion checking: incremental state machines that evaluate the
-// Table 3 checks *while the experiment runs*, one LogRecord at a time.
+// Assertion checking as incremental state machines: the one implementation
+// of every Table 3 check, fed one LogRecord at a time.
 //
-// The post-hoc AssertionChecker (control/checker.h) evaluates each check by
-// querying the finished LogStore. The classes here are parallel incremental
-// implementations: each check is a small state machine fed the same
-// time-sorted record stream the post-hoc query would visit, and reports a
-// sticky three-valued verdict:
+// Each check is a small state machine fed the time-sorted record stream,
+// and reports a sticky three-valued verdict:
 //
 //   kUndecided — more records could still change the outcome
 //   kPass      — the check provably passes no matter what follows
 //   kFail      — the check provably fails no matter what follows
 //
-// Sticky means a verdict, once reached, is final: every early kFail/kPass
-// equals the verdict the post-hoc checker would compute over the *complete*
-// run. That equivalence is what lets the campaign runner terminate a
-// simulation the moment every attached check is decided (and what the
-// differential fuzz in tests/online_checker_test.cc pins, with the post-hoc
-// checker as the oracle — the two implementations deliberately share no
-// evaluation code).
+// The same machines serve both ways of checking. The campaign runner streams
+// records into them *while the experiment runs* and, with early exit on,
+// stops the simulation the moment every attached check is decided. The
+// post-hoc AssertionChecker (control/checker.h) feeds them the records of
+// each machine's query() over a finished LogStore. Sticky means a verdict,
+// once reached, is final: every early kFail/kPass equals the verdict over
+// the *complete* run, which is what makes stopping early sound.
 //
-// finalize() produces a CheckResult whose name and detail are byte-identical
-// to the post-hoc checker's over the same record stream, so report
-// fingerprints agree between online and post-hoc evaluation of full runs.
+// finalize() produces the CheckResult (name, verdict and detail) over the
+// records fed so far. tests/posthoc_reference.h keeps an independent
+// post-hoc implementation of every check; the differential fuzz in
+// tests/online_checker_test.cc compares it with the machines and with
+// AssertionChecker, and checks stickiness.
 #pragma once
 
 #include <deque>
@@ -33,7 +32,7 @@
 
 #include "common/glob.h"
 #include "control/checker.h"
-#include "logstore/record.h"
+#include "logstore/store.h"
 #include "topology/graph.h"
 
 namespace gremlin::control {
@@ -42,9 +41,8 @@ enum class Verdict { kUndecided, kPass, kFail };
 
 const char* to_string(Verdict v);
 
-// Load-level outcome summary, passed to finalize() so checks that report
-// user-visible failure counts render the same detail strings as their
-// post-hoc equivalents.
+// Load-level outcome summary, passed to finalize() for checks that report
+// user-visible failure counts.
 struct LoadSummary {
   size_t total = 0;
   size_t failures = 0;
@@ -67,11 +65,16 @@ class IncrementalCheck {
   // False for checks decided purely by load outcomes (no log records).
   virtual bool wants_records() const { return true; }
 
+  // The LogStore query that visits every record offer() would act on, in
+  // the order offer() expects: what a post-hoc evaluation streams in.
+  // Meaningful only when wants_records().
+  virtual logstore::Query query() const { return {}; }
+
   Verdict verdict() const { return verdict_; }
   bool decided() const { return verdict_ != Verdict::kUndecided; }
 
-  // End-of-stream result; byte-identical to the post-hoc checker over the
-  // same record stream.
+  // The result over the records offered so far (at end of stream: the
+  // check's final result). Const, so it may be called more than once.
   virtual CheckResult finalize(const LoadSummary& load) const = 0;
 
  protected:
@@ -138,7 +141,8 @@ class IncrementalCombine {
 
 // --- factories for the pattern checks ---------------------------------------
 //
-// Parameters mirror the AssertionChecker methods of the same name.
+// Parameters and results are those of the AssertionChecker methods of the
+// same name, which evaluate these machines over a finished LogStore.
 
 std::unique_ptr<IncrementalCheck> make_incremental_timeouts(
     std::string service, Duration max_latency, std::string id_pattern = "*");
@@ -155,8 +159,8 @@ std::unique_ptr<IncrementalCheck> make_incremental_circuit_breaker(
     std::string src, std::string dst, int threshold, Duration tdelta,
     int success_threshold, std::string id_pattern = "*");
 
-// `graph` may be null (the check then fails with the post-hoc "no
-// application graph" detail). Dependency order is captured at construction.
+// `graph` may be null (the check then fails with a "no application graph"
+// detail). Dependency order is captured at construction.
 std::unique_ptr<IncrementalCheck> make_incremental_bulkhead(
     const topology::AppGraph* graph, std::string src, std::string slow_dst,
     double min_rate, std::string id_pattern = "*");
@@ -169,6 +173,14 @@ std::unique_ptr<IncrementalCheck> make_incremental_error_rate(
     std::string src, std::string dst, double max_fraction,
     std::string id_pattern = "*");
 
+// Flow-trace containment: keeps a copy of every record matching
+// `id_pattern` and, at finalize, rebuilds the flow traces and counts the
+// failures originating at `origin_service` that reached a root span. A
+// later record can still add or fail a flow, so it never decides early: a
+// panel holding it never reports all_decided().
+std::unique_ptr<IncrementalCheck> make_incremental_failure_contained(
+    std::string origin_service, std::string id_pattern = "*");
+
 // Load-based: fails the moment more than `max_failures` user-visible
 // failures occurred; passes the moment all `expected_total` responses
 // arrived with the budget intact. wants_records() == false.
@@ -177,10 +189,7 @@ std::unique_ptr<IncrementalCheck> make_incremental_max_user_failures(
 
 // --- collection -------------------------------------------------------------
 
-// The set of incremental checks attached to one experiment. A nullptr slot
-// marks a check with no incremental implementation (e.g. FailureContained's
-// whole-trace reconstruction); it is evaluated post-hoc and permanently
-// blocks early exit and log retention.
+// The set of incremental checks attached to one experiment.
 class OnlineChecker {
  public:
   void add(std::unique_ptr<IncrementalCheck> check);
@@ -188,23 +197,19 @@ class OnlineChecker {
   size_t size() const { return checks_.size(); }
   IncrementalCheck* check(size_t i) { return checks_[i].get(); }
 
-  // True when every added check has an incremental implementation.
-  bool all_incremental() const { return !has_opaque_; }
-
-  // True when any incremental check consumes log records (false for purely
-  // load-based check sets, which skip log streaming entirely).
+  // True when any check consumes log records (false for purely load-based
+  // check sets, which skip log streaming entirely).
   bool wants_records() const;
 
   void offer(const logstore::LogRecord& r);
   void on_user_response(bool failed);
 
   // True when every check holds a final verdict — the early-exit condition.
-  // Always false while an opaque (post-hoc only) check is attached.
+  // False for an empty panel.
   bool all_decided() const;
 
  private:
   std::vector<std::unique_ptr<IncrementalCheck>> checks_;
-  bool has_opaque_ = false;
 };
 
 }  // namespace gremlin::control

@@ -93,9 +93,9 @@ class LogStore {
   // --- online checking hooks ---
 
   // Append observer, invoked once per appended record (before any retention
-  // eviction), under the store lock and in append order. The online checker
-  // pipeline hangs off this hook. The observer must not call back into the
-  // store. Pass nullptr to remove.
+  // eviction), under the store lock and in append order. The observer must
+  // not call back into the store. Pass nullptr to remove. (The campaign
+  // runner feeds its checks from the stream collector's batches instead.)
   using AppendObserver = std::function<void(const LogRecord&)>;
   void set_observer(AppendObserver observer);
 

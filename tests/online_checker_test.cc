@@ -1,17 +1,20 @@
 // Online assertion checking tests (control/online.h).
 //
-// The centerpiece is a differential fuzz: the incremental (streaming) checks
-// must produce verdicts — and, on full streams, byte-identical names and
-// details — matching the post-hoc AssertionChecker, which stays the oracle.
-// The two implementations deliberately share no evaluation code, so
-// agreement over randomized record streams is real evidence.
+// The centerpiece is a differential fuzz over randomized record streams.
+// For every check it compares three columns: the post-hoc reference
+// implementation (tests/posthoc_reference.h, which shares no evaluation
+// code with the machines and stays the oracle), the AssertionChecker method
+// (the machine fed its query() over a LogStore), and the machine fed the
+// full stream. They must agree on verdict, name and detail, and an early
+// verdict must equal the full-stream one. The fuzz draws from
+// --gtest_random_seed when it is non-zero, else from a fixed seed.
 //
 // Also covered: IncrementalCombine vs Combine::evaluate, sticky early
-// verdicts (an early decision always equals the full-stream verdict),
-// bounded log retention, early-exit vs full-run experiment equivalence
-// (verdict fingerprints and failure signatures), and event-pool reclamation
-// after an early-terminated run. tests/differential_test.cc draws random
-// campaigns with early exit on and off.
+// verdicts, bounded log retention, early-exit vs full-run experiment
+// equivalence (verdict fingerprints and failure signatures), the engine's
+// verdicts against the oracle over a preserved log, and event-pool
+// reclamation after an early-terminated run. tests/differential_test.cc
+// draws random campaigns with early exit on and off.
 #include "control/online.h"
 
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include "control/assertions.h"
 #include "control/checker.h"
 #include "logstore/store.h"
+#include "posthoc_reference.h"
 #include "sim/simulation.h"
 #include "topology/graph.h"
 
@@ -118,17 +122,44 @@ topology::AppGraph fuzz_graph() {
 
 // --- the differential fuzz ---------------------------------------------------
 
+// The fuzz seed: --gtest_random_seed when non-zero, else `fixed`.
+uint64_t fuzz_seed(uint64_t fixed) {
+  const int32_t flag = ::testing::GTEST_FLAG(random_seed);
+  return flag != 0 ? static_cast<uint64_t>(flag) : fixed;
+}
+
+// One check of the panel: the oracle's result, the AssertionChecker's, and
+// the machine that is fed the full stream.
+struct Columns {
+  CheckResult oracle;
+  CheckResult checker;
+  std::unique_ptr<IncrementalCheck> machine;
+};
+
+void expect_same_result(const CheckResult& got, const CheckResult& oracle,
+                        const char* column, int iter) {
+  ASSERT_EQ(got.passed, oracle.passed)
+      << "iter " << iter << " check " << oracle.name << " (" << column
+      << ")\n  oracle: " << oracle.detail << "\n  got:    " << got.detail;
+  ASSERT_EQ(got.name, oracle.name) << "iter " << iter << " (" << column << ")";
+  ASSERT_EQ(got.detail, oracle.detail)
+      << "iter " << iter << " check " << oracle.name << " (" << column << ")";
+}
+
 TEST(OnlineDifferentialFuzz, MatchesPostHocCheckerOn1000RandomStreams) {
   const topology::AppGraph graph = fuzz_graph();
-  std::mt19937_64 rng(0x6e71a2d5u);  // seeded: failures replay exactly
+  const uint64_t seed = fuzz_seed(0x6e71a2d5u);
+  std::mt19937_64 rng(seed);  // seeded: failures replay exactly
 
   for (int iter = 0; iter < 1000; ++iter) {
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed));
     const RecordList records = random_stream(rng);
     logstore::LogStore store;
     for (const auto& r : records) store.append(r);
+    const reference::PostHocChecker oracle(&store, &graph);
     const control::AssertionChecker checker(&store, &graph);
 
-    // Randomized parameters, used identically by oracle and subject.
+    // Randomized parameters, used identically by all three columns.
     std::uniform_int_distribution<int> pct(0, 99);
     const std::string idp = pct(rng) < 50 ? "*" : "test-*";
     const char* to_services[] = {"b", "c", "d"};
@@ -154,63 +185,76 @@ TEST(OnlineDifferentialFuzz, MatchesPostHocCheckerOn1000RandomStreams) {
     const bool with_rule = pct(rng) < 50;
     const double max_fraction =
         std::uniform_real_distribution<double>(0.0, 0.6)(rng);
+    const std::string origin =
+        to_services[std::uniform_int_distribution<int>(0, 2)(rng)];
 
-    std::vector<std::pair<CheckResult, std::unique_ptr<IncrementalCheck>>>
-        panel;
-    panel.emplace_back(
-        checker.has_timeouts(svc, bound, idp),
-        control::make_incremental_timeouts(svc, bound, idp));
-    panel.emplace_back(
-        checker.has_bounded_retries("a", "b", max_tries, idp),
-        control::make_incremental_bounded_retries("a", "b", max_tries, idp));
-    panel.emplace_back(
-        checker.has_bounded_retries_windowed("a", "b", 503, win_threshold,
+    std::vector<Columns> panel;
+    panel.push_back({oracle.has_timeouts(svc, bound, idp),
+                     checker.has_timeouts(svc, bound, idp),
+                     control::make_incremental_timeouts(svc, bound, idp)});
+    panel.push_back(
+        {oracle.has_bounded_retries("a", "b", max_tries, idp),
+         checker.has_bounded_retries("a", "b", max_tries, idp),
+         control::make_incremental_bounded_retries("a", "b", max_tries,
+                                                   idp)});
+    panel.push_back(
+        {oracle.has_bounded_retries_windowed("a", "b", 503, win_threshold,
                                              tdelta, win_max, idp),
-        control::make_incremental_bounded_retries_windowed(
-            "a", "b", 503, win_threshold, tdelta, win_max, idp));
-    panel.emplace_back(
-        checker.has_circuit_breaker("a", "b", cb_threshold, tdelta,
+         checker.has_bounded_retries_windowed("a", "b", 503, win_threshold,
+                                              tdelta, win_max, idp),
+         control::make_incremental_bounded_retries_windowed(
+             "a", "b", 503, win_threshold, tdelta, win_max, idp)});
+    panel.push_back(
+        {oracle.has_circuit_breaker("a", "b", cb_threshold, tdelta,
                                     success_threshold, idp),
-        control::make_incremental_circuit_breaker(
-            "a", "b", cb_threshold, tdelta, success_threshold, idp));
-    panel.emplace_back(
-        checker.has_bulkhead("a", "b", min_rate, idp),
-        control::make_incremental_bulkhead(&graph, "a", "b", min_rate, idp));
-    panel.emplace_back(
-        checker.has_latency_slo("a", "b", percentile, bound, with_rule, idp),
-        control::make_incremental_latency_slo("a", "b", percentile, bound,
-                                              with_rule, idp));
-    panel.emplace_back(
-        checker.error_rate_below("a", "b", max_fraction, idp),
-        control::make_incremental_error_rate("a", "b", max_fraction, idp));
+         checker.has_circuit_breaker("a", "b", cb_threshold, tdelta,
+                                     success_threshold, idp),
+         control::make_incremental_circuit_breaker(
+             "a", "b", cb_threshold, tdelta, success_threshold, idp)});
+    panel.push_back(
+        {oracle.has_bulkhead("a", "b", min_rate, idp),
+         checker.has_bulkhead("a", "b", min_rate, idp),
+         control::make_incremental_bulkhead(&graph, "a", "b", min_rate,
+                                            idp)});
+    panel.push_back(
+        {oracle.has_latency_slo("a", "b", percentile, bound, with_rule, idp),
+         checker.has_latency_slo("a", "b", percentile, bound, with_rule, idp),
+         control::make_incremental_latency_slo("a", "b", percentile, bound,
+                                               with_rule, idp)});
+    panel.push_back(
+        {oracle.error_rate_below("a", "b", max_fraction, idp),
+         checker.error_rate_below("a", "b", max_fraction, idp),
+         control::make_incremental_error_rate("a", "b", max_fraction, idp)});
+    panel.push_back(
+        {oracle.failure_contained(origin, idp),
+         checker.failure_contained(origin, idp),
+         control::make_incremental_failure_contained(origin, idp)});
 
     // Feed the exact stream the post-hoc queries visit (the store sorts by
     // (timestamp, arrival); the generator appends in that order already),
-    // recording the first verdict each check commits to.
+    // recording the first verdict each machine commits to.
     std::vector<Verdict> early(panel.size(), Verdict::kUndecided);
     for (const auto& r : records) {
       for (size_t i = 0; i < panel.size(); ++i) {
-        panel[i].second->offer(r);
+        panel[i].machine->offer(r);
         if (early[i] == Verdict::kUndecided) {
-          early[i] = panel[i].second->verdict();
+          early[i] = panel[i].machine->verdict();
         }
       }
     }
 
+    for (const Columns& c : panel) {
+      expect_same_result(c.checker, c.oracle, "AssertionChecker", iter);
+      expect_same_result(c.machine->finalize(LoadSummary{}), c.oracle,
+                         "machine", iter);
+      if (HasFatalFailure()) return;
+    }
     for (size_t i = 0; i < panel.size(); ++i) {
-      const CheckResult& oracle = panel[i].first;
-      const CheckResult got = panel[i].second->finalize(LoadSummary{});
-      ASSERT_EQ(got.passed, oracle.passed)
-          << "iter " << iter << " check " << oracle.name
-          << "\n  oracle: " << oracle.detail << "\n  online: " << got.detail;
-      ASSERT_EQ(got.name, oracle.name) << "iter " << iter;
-      ASSERT_EQ(got.detail, oracle.detail)
-          << "iter " << iter << " check " << oracle.name;
       // Stickiness: a verdict committed mid-stream must equal the verdict
       // over the complete stream — the early-exit soundness condition.
       if (early[i] != Verdict::kUndecided) {
-        ASSERT_EQ(early[i] == Verdict::kPass, oracle.passed)
-            << "iter " << iter << " check " << oracle.name
+        ASSERT_EQ(early[i] == Verdict::kPass, panel[i].oracle.passed)
+            << "iter " << iter << " check " << panel[i].oracle.name
             << " decided early then flipped";
       }
     }
@@ -218,8 +262,10 @@ TEST(OnlineDifferentialFuzz, MatchesPostHocCheckerOn1000RandomStreams) {
 }
 
 TEST(IncrementalCombineFuzz, MatchesCombineEvaluateOn1000RandomChains) {
-  std::mt19937_64 rng(0x51c0ffeeu);
+  const uint64_t seed = fuzz_seed(0x51c0ffeeu);
+  std::mt19937_64 rng(seed);
   for (int iter = 0; iter < 1000; ++iter) {
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed));
     const RecordList records = random_stream(rng);
 
     const int steps = std::uniform_int_distribution<int>(1, 4)(rng);
@@ -505,9 +551,8 @@ TEST(EarlyExitTest, FailingRunsProcessFewerEvents) {
 }
 
 TEST(EarlyExitTest, RecordCheckPanelAgreesBetweenModes) {
-  // A mixed panel forces the streaming path (SimStreamCollector + store
-  // observer + retention): verdicts must still agree with the untouched
-  // post-hoc flow.
+  // A mixed panel streams records (store observer + retention):
+  // verdicts must still agree with the full run.
   for (const char* fault : {"svc2", "svc5"}) {
     Experiment e;
     e.id = std::string("crash(") + fault + ")";
@@ -527,9 +572,10 @@ TEST(EarlyExitTest, RecordCheckPanelAgreesBetweenModes) {
   }
 }
 
-TEST(EarlyExitTest, OpaqueCheckDisablesEarlyExitButKeepsVerdicts) {
-  // FailureContained has no incremental form; attaching it must force the
-  // post-hoc path (identical to early_exit=false), never a wrong verdict.
+TEST(EarlyExitTest, FailureContainedStreamsToTheEndAndKeepsVerdicts) {
+  // FailureContained streams like every other check but never decides
+  // early, so a panel holding it runs to the end even with early exit on:
+  // the result is byte-identical to early_exit=false.
   Experiment e;
   e.id = "crash(svc2) contained";
   e.app = AppSpec::buggy_tree();
@@ -544,6 +590,68 @@ TEST(EarlyExitTest, OpaqueCheckDisablesEarlyExitButKeepsVerdicts) {
   const ExperimentResult full = CampaignRunner::run_one(e, off);
   EXPECT_FALSE(fast.early_terminated);
   EXPECT_EQ(fast.fingerprint(), full.fingerprint());
+}
+
+// The engine against the oracle: each verdict of a buggy-tree experiment
+// equals the post-hoc reference over the log the run preserved, in verdict,
+// name and detail with early exit off, and in verdict with it on.
+TEST(EngineReferenceTest, ChecksMatchTheOracleOverThePreservedLog) {
+  const AppSpec app = AppSpec::buggy_tree();
+  const topology::AppGraph graph = app.probe_graph();
+  const std::vector<control::FailureSpec> faults = {
+      control::FailureSpec::abort_edge("svc0", "svc2"),
+      control::FailureSpec::delay_edge("svc0", "svc2", msec(300)),
+      control::FailureSpec::crash("svc2"),
+      control::FailureSpec::abort_edge("svc0", "svc1"),
+      control::FailureSpec::crash("svc1"),
+  };
+  for (const control::FailureSpec& fault : faults) {
+    Experiment e;
+    e.id = std::string(fault.kind_name()) + "(" + fault.a + "->" +
+           fault.b + ")";
+    e.app = app;
+    e.failures.push_back(fault);
+    e.load = small_load();
+    e.checks = {CheckSpec::has_timeouts("svc0", msec(250)),
+                CheckSpec::has_bounded_retries("svc0", "svc1", 3),
+                CheckSpec::has_latency_slo("user", "svc0", 99, msec(300)),
+                CheckSpec::error_rate_below("svc0", "svc2", 0.5),
+                CheckSpec::failure_contained("svc2"),
+                CheckSpec::failure_contained("svc1"),
+                CheckSpec::max_user_failures(0)};
+
+    ExperimentResult full;
+    for (const bool early_exit : {false, true}) {
+      ExecOptions exec;
+      exec.early_exit = early_exit;
+      exec.preserve_log = true;
+      sim::SimulationConfig cfg;
+      cfg.seed = e.seed;
+      sim::Simulation sim(cfg);
+      const ExperimentResult result = CampaignRunner::run_in(e, &sim, exec);
+      ASSERT_TRUE(result.ok) << e.id << ": " << result.error;
+      ASSERT_EQ(result.checks.size(), e.checks.size()) << e.id;
+      if (early_exit) {
+        EXPECT_EQ(result.verdict_fingerprint(), full.verdict_fingerprint())
+            << e.id;
+        continue;
+      }
+      full = result;
+      const reference::PostHocChecker oracle(&sim.log_store(), &graph);
+      control::LoadResult load;
+      load.latencies.resize(result.requests);
+      load.failures = result.failures;
+      for (size_t i = 0; i < e.checks.size(); ++i) {
+        const CheckResult want = reference::evaluate(e.checks[i], oracle, load);
+        const CheckResult& got = result.checks[i];
+        EXPECT_EQ(got.passed, want.passed)
+            << e.id << " " << want.name << "\n  oracle: " << want.detail
+            << "\n  engine: " << got.detail;
+        EXPECT_EQ(got.name, want.name) << e.id;
+        EXPECT_EQ(got.detail, want.detail) << e.id;
+      }
+    }
+  }
 }
 
 TEST(EarlyExitTest, PoolIsFullyReclaimedAfterEarlyTermination) {
@@ -570,14 +678,35 @@ TEST(EarlyExitTest, PoolIsFullyReclaimedAfterEarlyTermination) {
             sim.event_queue().pool_capacity());
 }
 
-TEST(OnlineCheckerTest, OpaqueSlotBlocksAllDecided) {
+TEST(OnlineCheckerTest, FailureContainedNeverDecides) {
   control::OnlineChecker checker;
   checker.add(control::make_incremental_max_user_failures(0, 1));
-  EXPECT_TRUE(checker.all_incremental());
-  checker.add(nullptr);  // FailureContained-style opaque check
-  EXPECT_FALSE(checker.all_incremental());
-  checker.on_user_response(false);  // decides the incremental slot (pass)
+  checker.add(control::make_incremental_failure_contained("b"));
+  // A flow that fails at b and escapes to the root span: the full-stream
+  // verdict is Fail, but a later record could still add flows.
+  const auto record = [](int64_t ms, const char* src, const char* dst,
+                         MessageKind kind, int status) {
+    LogRecord r;
+    r.timestamp = TimePoint{msec(ms)};
+    r.request_id = "test-1";
+    r.src = src;
+    r.dst = dst;
+    r.kind = kind;
+    r.status = status;
+    return r;
+  };
+  checker.offer(record(0, "user", "a", MessageKind::kRequest, 0));
+  checker.offer(record(1, "a", "b", MessageKind::kRequest, 0));
+  checker.offer(record(2, "a", "b", MessageKind::kResponse, 503));
+  checker.offer(record(3, "user", "a", MessageKind::kResponse, 503));
+  checker.on_user_response(false);  // decides the load check (pass)
+  EXPECT_TRUE(checker.check(0)->decided());
+  EXPECT_FALSE(checker.check(1)->decided());
   EXPECT_FALSE(checker.all_decided());
+  const CheckResult contained = checker.check(1)->finalize(LoadSummary{});
+  EXPECT_FALSE(contained.passed);
+  EXPECT_EQ(contained.detail,
+            "1 flows failed at b; 1 escaped to the user-facing edge");
 }
 
 }  // namespace

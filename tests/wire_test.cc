@@ -295,110 +295,5 @@ TEST(ResultCodecTest, RejectsPreVocabularyFrames) {
   EXPECT_FALSE(decode_result(bytes, &decoded));
 }
 
-// --- FaultRule codec ---------------------------------------------------------
-
-TEST(RuleCodecTest, RoundTripPreservesEveryVocabularyField) {
-  faults::FaultRule r =
-      faults::FaultRule::delay_rule("svc0", "svc*", msec(100), "test-*", 0.25);
-  r.delay_distribution = faults::DelayDistribution::kEmpirical;
-  r.delay_min = msec(1);
-  r.delay_max = msec(90);
-  r.delay_mean = msec(33);
-  r.delay_values = {msec(5), msec(20), msec(80)};
-  r.after = msec(40);
-  r.window_duration = msec(60);
-  r.max_matches = 17;
-
-  faults::FaultRule decoded;
-  ASSERT_TRUE(decode_rule(encode_rule(r), &decoded));
-  EXPECT_EQ(decoded.id, r.id);
-  EXPECT_EQ(decoded.source, r.source);
-  EXPECT_EQ(decoded.destination, r.destination);
-  EXPECT_EQ(decoded.type, r.type);
-  EXPECT_EQ(decoded.pattern, r.pattern);
-  EXPECT_EQ(decoded.probability, r.probability);  // exact: bit pattern
-  EXPECT_EQ(decoded.delay_distribution, r.delay_distribution);
-  EXPECT_EQ(decoded.delay_min, r.delay_min);
-  EXPECT_EQ(decoded.delay_max, r.delay_max);
-  EXPECT_EQ(decoded.delay_mean, r.delay_mean);
-  EXPECT_EQ(decoded.delay_values, r.delay_values);
-  EXPECT_EQ(decoded.after, r.after);
-  EXPECT_EQ(decoded.window_duration, r.window_duration);
-  EXPECT_EQ(decoded.max_matches, r.max_matches);
-}
-
-TEST(RuleCodecTest, SeededFuzzRoundTripOverVocabularyFields) {
-  Rng rng(0xca11ab1e);
-  const faults::DelayDistribution dists[] = {
-      faults::DelayDistribution::kFixed, faults::DelayDistribution::kUniform,
-      faults::DelayDistribution::kExponential,
-      faults::DelayDistribution::kEmpirical};
-  for (int iter = 0; iter < 500; ++iter) {
-    faults::FaultRule r;
-    r.id = fuzz_string(&rng);
-    r.source = fuzz_string(&rng);
-    r.destination = fuzz_string(&rng);
-    r.type = static_cast<faults::FaultKind>(rng.next_below(4));
-    r.on = rng.bernoulli(0.5) ? faults::MessageKind::kRequest
-                              : faults::MessageKind::kResponse;
-    r.pattern = fuzz_string(&rng);
-    r.probability = rng.next_double();
-    r.abort_code = static_cast<int>(rng.next_below(600)) - 1;
-    r.delay_interval = Duration(static_cast<int64_t>(rng.next_below(1 << 20)));
-    r.delay_distribution = dists[rng.next_below(4)];
-    r.delay_min = Duration(static_cast<int64_t>(rng.next_below(1 << 16)));
-    r.delay_max = r.delay_min + Duration(static_cast<int64_t>(
-                                    rng.next_below(1 << 16)));
-    r.delay_mean = Duration(static_cast<int64_t>(rng.next_below(1 << 16)));
-    const size_t values = rng.next_below(6);
-    for (size_t i = 0; i < values; ++i) {
-      r.delay_values.push_back(
-          Duration(static_cast<int64_t>(rng.next_below(1 << 16)) + 1));
-    }
-    r.after = Duration(static_cast<int64_t>(rng.next_below(1 << 20)));
-    r.window_duration =
-        Duration(static_cast<int64_t>(rng.next_below(1 << 20)));
-    r.body_pattern = fuzz_string(&rng);
-    r.replace_bytes = fuzz_string(&rng);
-    r.max_matches = rng.next_u64();
-
-    faults::FaultRule decoded;
-    const std::string bytes = encode_rule(r);
-    ASSERT_TRUE(decode_rule(bytes, &decoded)) << "iter " << iter;
-    // Re-encoding the decoded rule must reproduce the bytes exactly — the
-    // codec is a bijection on its field set.
-    EXPECT_EQ(encode_rule(decoded), bytes) << "iter " << iter;
-  }
-}
-
-TEST(RuleCodecTest, TruncationAndSkewFailSoft) {
-  faults::FaultRule r = faults::FaultRule::abort_rule("a", "b", 503);
-  r.after = msec(5);
-  const std::string bytes = encode_rule(r);
-  faults::FaultRule sink;
-
-  std::string skewed = bytes;
-  skewed[0] = static_cast<char>(kRuleWireVersion + 1);
-  EXPECT_FALSE(decode_rule(skewed, &sink));
-
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(decode_rule(std::string_view(bytes).substr(0, cut), &sink))
-        << "prefix length " << cut;
-  }
-  EXPECT_FALSE(decode_rule(bytes + "x", &sink));
-}
-
-TEST(RuleCodecTest, FuzzDecodeOfRandomBytesNeverCrashes) {
-  Rng rng(0xbadc0de5);
-  faults::FaultRule sink;
-  for (int iter = 0; iter < 500; ++iter) {
-    std::string bytes = fuzz_string(&rng);
-    if (rng.bernoulli(0.5)) {
-      bytes.insert(bytes.begin(), static_cast<char>(kRuleWireVersion));
-    }
-    (void)decode_rule(bytes, &sink);  // must not crash, hang, or throw
-  }
-}
-
 }  // namespace
 }  // namespace gremlin::campaign
