@@ -238,7 +238,7 @@ ExperimentResult ExperimentBody::run(ExperimentResult result,
   // whole run: the data plane skips LogRecord construction entirely. Fault
   // injection and the event timeline are untouched, so results stay
   // byte-identical.
-  const bool suppress_records = !exec_.preserve_log && !wants_records;
+  const bool suppress_records = !captures_records();
 
   // Record-consuming checks get each drained, time-sorted batch directly;
   // the store only keeps it for a caller that reads the log afterwards.

@@ -248,6 +248,13 @@ class ExperimentBody {
   // responses into them and finalizes them into the verdicts.
   control::OnlineChecker& online() { return online_; }
 
+  // Whether the run captures observation records: only when it keeps the
+  // log or a check consumes records. Otherwise run() switches capture off
+  // for the whole run.
+  bool captures_records() const {
+    return exec_.preserve_log || online_.wants_records();
+  }
+
   // Wires the observers around `drive`, then drains, tears down, collects
   // (preserve_log only) and finalizes the checks; with early_exit, the run
   // stops once every check is decided. `result` arrives with id, seed and

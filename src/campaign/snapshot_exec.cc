@@ -78,6 +78,13 @@ std::optional<ExperimentResult> SnapshotCache::run(
   const TimePoint t_act = TimePoint{} + min_after;
   const TimePoint t_snap = t_act - kTick;
 
+  // The body's checks decide what the prefix must capture: a run that
+  // neither keeps the log nor feeds a record check suppresses records for
+  // its whole duration, so its prefix runs with capture off too and the
+  // snapshot holds no agent records.
+  ExperimentBody body(experiment, graph, exec);
+  const bool records = body.captures_records();
+
   // --- cache lookup -------------------------------------------------------
   std::string key = std::to_string(experiment.seed);
   key += '|';
@@ -85,6 +92,7 @@ std::optional<ExperimentResult> SnapshotCache::run(
   key += experiment.client;
   key += '|';
   key += target;
+  key += records ? "|records" : "|load-only";
 
   Entry* entry = nullptr;
   for (auto& e : entries_) {
@@ -117,6 +125,7 @@ std::optional<ExperimentResult> SnapshotCache::run(
     // load scheduled exactly as run_load schedules it, run to the last
     // pre-activation instant.
     sim->reset(experiment.seed);
+    if (!records) sim->set_recording(false);
     sim->begin_snapshot_capture();
     entry->driver = std::make_unique<control::LoadDriver>(
         sim, experiment.client, target, experiment.load);
@@ -136,7 +145,6 @@ std::optional<ExperimentResult> SnapshotCache::run(
   }
 
   // --- early-exit tape replay (before touching the sim) -------------------
-  ExperimentBody body(experiment, graph, exec);
   if (exec.early_exit) {
     // The prefix appends nothing to the store (the collector only drains
     // at the end of a run), so mid-prefix stops can only come from user

@@ -10,6 +10,14 @@
 // the world (sim/snapshot.h), and start each sibling experiment from the
 // restore point — skipping the prefix events entirely.
 //
+// A snapshot holds only what a restored run reads. An experiment that
+// neither preserves the log nor attaches a record-consuming check (a
+// load-only panel such as MaxUserFailures) suppresses observation capture
+// for its whole run, so its prefix runs with capture off as well: the
+// snapshot carries no sidecar records and a restore copies none. Whether
+// the prefix captured is part of the cache key, so load-only and
+// record-checking siblings of one sweep each get their own entry.
+//
 // One wrinkle is load injection: run_load's closures capture their result
 // object, which would tie the snapshot to one experiment. The prefix is
 // instead driven by a control::LoadDriver held at a stable address by the
@@ -84,7 +92,7 @@ class SnapshotCache {
 
  private:
   struct Entry {
-    std::string key;        // seed + load shape + client + target
+    std::string key;        // seed + load shape + client + target + capture
     TimePoint t_snap{};     // snapshot instant (min activation - 1 tick)
     // Stable-address injector: saved event actions capture its `this`.
     std::unique_ptr<control::LoadDriver> driver;

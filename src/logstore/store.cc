@@ -59,14 +59,12 @@ void LogStore::append(const LogRecord& record) {
   std::lock_guard lock(mu_);
   records_.append_slot() = record;  // copy-assign: slot capacity reused
   index_tail_locked(records_.size() - 1);
-  notify_and_retain_locked(records_.size() - 1);
 }
 
 void LogStore::append(LogRecord&& record) {
   std::lock_guard lock(mu_);
   records_.append_slot() = std::move(record);
   index_tail_locked(records_.size() - 1);
-  notify_and_retain_locked(records_.size() - 1);
 }
 
 void LogStore::append_all(const RecordList& records) {
@@ -74,7 +72,6 @@ void LogStore::append_all(const RecordList& records) {
   const size_t first = records_.size();
   for (const LogRecord& r : records) records_.append_slot() = r;
   index_tail_locked(first);
-  notify_and_retain_locked(first);
 }
 
 void LogStore::append_all(RecordList&& records) {
@@ -82,7 +79,6 @@ void LogStore::append_all(RecordList&& records) {
   const size_t first = records_.size();
   for (LogRecord& r : records) records_.append_slot() = std::move(r);
   index_tail_locked(first);
-  notify_and_retain_locked(first);
 }
 
 void LogStore::clear() {
@@ -95,42 +91,6 @@ void LogStore::clear() {
   // is indistinguishable from an absent key for every query path.
   for (auto& [edge, positions] : by_edge_) positions.clear();
   for (auto& [id, positions] : by_id_) positions.clear();
-  dropped_ = 0;
-}
-
-void LogStore::set_observer(AppendObserver observer) {
-  std::lock_guard lock(mu_);
-  observer_ = std::move(observer);
-}
-
-void LogStore::set_retention_limit(size_t max_records) {
-  std::lock_guard lock(mu_);
-  retention_limit_ = max_records;
-}
-
-size_t LogStore::dropped() const {
-  std::lock_guard lock(mu_);
-  return dropped_;
-}
-
-void LogStore::notify_and_retain_locked(size_t first) {
-  // Every record is observed exactly once, before it can be evicted: the
-  // online checks consume observations at append time and never re-read
-  // history, which is what makes eviction safe at all.
-  if (observer_) {
-    for (size_t i = first; i < records_.size(); ++i) observer_(records_[i]);
-  }
-  if (retention_limit_ == 0 || records_.size() <= retention_limit_) return;
-  // Evict down to half the limit (not just below it), so eviction cost is
-  // amortized O(1) per appended record instead of O(limit) per append once
-  // the store is full. Positions shift, so both indexes rebuild.
-  const size_t keep = retention_limit_ / 2;
-  const size_t drop = records_.size() - keep;
-  records_.evict_front(drop);
-  dropped_ += drop;
-  by_edge_.clear();
-  by_id_.clear();
-  index_tail_locked(0);
 }
 
 size_t LogStore::size() const {

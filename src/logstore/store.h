@@ -13,8 +13,8 @@
 // size rewind (pointer bump) and steady-state appends reuse fully
 // constructed LogRecord slots — including their request-ID string capacity
 // — instead of reallocating a vector and its strings. Positions index into
-// the slabs; bulk walks (indexing, observer notification, full scans,
-// serialization) iterate contiguous spans, one slab at a time.
+// the slabs; bulk walks (indexing, full scans, serialization) iterate
+// contiguous spans, one slab at a time.
 #pragma once
 
 #include <algorithm>
@@ -90,26 +90,6 @@ class LogStore {
 
   size_t size() const;
 
-  // --- online checking hooks ---
-
-  // Append observer, invoked once per appended record (before any retention
-  // eviction), under the store lock and in append order. The observer must
-  // not call back into the store. Pass nullptr to remove. (The campaign
-  // runner feeds its checks from the stream collector's batches instead.)
-  using AppendObserver = std::function<void(const LogRecord&)>;
-  void set_observer(AppendObserver observer);
-
-  // Bounded retention: when the store exceeds `max_records`, the oldest
-  // records are evicted down to max_records/2 and the indexes rebuilt
-  // (amortized O(1) per append). 0 disables eviction (the default). Only
-  // safe when nothing re-reads evicted history — i.e. every attached check
-  // is incremental and no caller keeps the log for reports or call-graph
-  // extraction.
-  void set_retention_limit(size_t max_records);
-
-  // Records evicted by the retention policy since construction/clear().
-  size_t dropped() const;
-
   // Zero-copy query: visits matching records in (timestamp, arrival order)
   // without materializing a RecordList. Returns the number of records
   // visited. This is the assertion checker's hot path; `query` below is a
@@ -167,15 +147,6 @@ class LogStore {
     // Reset = pointer bump: slabs and slot contents are retained for reuse.
     void clear() { size_ = 0; }
 
-    // Retention eviction: shifts the kept suffix to the front (positions
-    // change; callers rebuild the indexes).
-    void evict_front(size_t drop) {
-      for (size_t i = 0; i + drop < size_; ++i) {
-        (*this)[i] = std::move((*this)[i + drop]);
-      }
-      size_ -= drop;
-    }
-
     // Visits records [first, size) as contiguous spans, one per slab:
     // fn(const LogRecord* span, size_t count, size_t first_pos).
     template <typename Fn>
@@ -198,15 +169,11 @@ class LogStore {
   };
 
   void index_tail_locked(size_t first);
-  void notify_and_retain_locked(size_t first);
   const std::vector<size_t>& collect_locked(const Query& q) const;
   size_t for_each_locked(const Query& q, const RecordVisitor& fn) const;
 
   mutable std::mutex mu_;
   RecordSlabs records_;                                // insertion order
-  AppendObserver observer_;        // per-record append hook (may be empty)
-  size_t retention_limit_ = 0;     // 0 = unbounded
-  size_t dropped_ = 0;             // evicted by retention
   // Scratch buffer for candidate positions, reused across queries so the
   // indexed fast path allocates nothing once warm. Guarded by mu_.
   mutable std::vector<size_t> scratch_;

@@ -362,26 +362,39 @@ void EventQueue::release_wheel_entries() {
   wheel_pending_ = 0;
 }
 
-EventQueue::SavedEvent EventQueue::saved(const Entry& e) const {
-  if (e.idx == kNil) return SavedEvent{e.at, e.seq, {}};
-  return SavedEvent{e.at, e.seq, pool_->action(e.idx)};
-}
-
-void EventQueue::save_events(std::vector<SavedEvent>* out) const {
-  out->clear();
-  out->reserve(size());
+void EventQueue::save_events(SavedQueue* out) const {
+  out->events.clear();
+  out->events.reserve(heap_.size() + wheel_pending_);
   for (const Entry& e : heap_) {
-    out->push_back(saved(e));
+    out->events.push_back(SavedEvent{e.at, e.seq, pool_->action(e.idx)});
   }
+  out->timer_actions.clear();
+  out->lanes.resize(lanes_used_);
   for (size_t i = 0; i < lanes_used_; ++i) {
     const Ring& fifo = lanes_[i].fifo;
+    SavedLane& lane = out->lanes[i];
+    lane.delay = lanes_[i].delay;
+    lane.timers.clear();
+    lane.timers.reserve(fifo.size());
     for (size_t j = 0; j < fifo.size(); ++j) {
-      out->push_back(saved(fifo.at(j)));
+      const Entry& e = fifo.at(j);
+      uint32_t action = kNil;
+      if (e.idx != kNil) {
+        action = static_cast<uint32_t>(out->timer_actions.size());
+        out->timer_actions.push_back(pool_->action(e.idx));
+      }
+      lane.timers.push_back(SavedTimer{e.at, e.seq, action});
     }
   }
   // Wheel walk: occupied L0 slots via the summary bitmap, then live L1
   // windows — the release_wheel_entries traversal, copying instead of
   // releasing.
+  const auto save_list = [this, out](uint32_t head) {
+    for (uint32_t n = head; n != kNil; n = wnodes_[n].next) {
+      const Entry& e = wnodes_[n].entry;
+      out->events.push_back(SavedEvent{e.at, e.seq, pool_->action(e.idx)});
+    }
+  };
   uint64_t summary = l0_summary_;
   while (summary != 0) {
     const size_t word = static_cast<size_t>(std::countr_zero(summary));
@@ -391,46 +404,55 @@ void EventQueue::save_events(std::vector<SavedEvent>* out) const {
       const size_t slot =
           (word << 6) | static_cast<size_t>(std::countr_zero(bits));
       bits &= bits - 1;
-      for (uint32_t n = l0_[slot].head; n != kNil; n = wnodes_[n].next) {
-        out->push_back(saved(wnodes_[n].entry));
-      }
+      save_list(l0_[slot].head);
     }
   }
   uint64_t live = l1_bits_;
   while (live != 0) {
     const size_t l1 = static_cast<size_t>(std::countr_zero(live));
     live &= live - 1;
-    for (uint32_t n = l1_[l1].head; n != kNil; n = wnodes_[n].next) {
-      out->push_back(saved(wnodes_[n].entry));
-    }
+    save_list(l1_[l1].head);
   }
+  out->next_seq = next_seq_;
 }
 
-void EventQueue::restore_events(const std::vector<SavedEvent>& events,
-                                uint64_t next_seq) {
+void EventQueue::restore_events(const SavedQueue& saved) {
   clear();
-  heap_.reserve(events.size());
-  for (const SavedEvent& ev : events) {
-    uint32_t idx = kNil;
-    if (ev.action) {
-      idx = pool_->acquire();
-      pool_->action(idx) = ev.action;
-    } else {
-      ++tombstones_;
-    }
+  heap_.reserve(saved.events.size());
+  for (const SavedEvent& ev : saved.events) {
+    const uint32_t idx = pool_->acquire();
+    pool_->action(idx) = ev.action;
     heap_.push_back(Entry{ev.at, ev.seq, idx});
     sift_up(heap_.size() - 1);
   }
   // The wheel cursor restarted at window 0 (clear); the first pop's
   // advance_to jumps it to the popping time, and every event scheduled from
   // then on routes exactly as a cold run would.
-  next_seq_ = next_seq;
+  assert(saved.lanes.size() <= kMaxLanes);
+  for (size_t i = 0; i < saved.lanes.size(); ++i) {
+    if (i == lanes_.size()) lanes_.emplace_back();
+    const SavedLane& from = saved.lanes[i];
+    Lane& lane = lanes_[i];
+    lane.delay = from.delay;
+    lane.issued = from.timers.size();
+    for (const SavedTimer& t : from.timers) {
+      uint32_t idx = kNil;
+      if (t.action != kNil) {
+        idx = pool_->acquire();
+        pool_->action(idx) = saved.timer_actions[t.action];
+      } else {
+        ++tombstones_;
+      }
+      lane.fifo.push_back(Entry{t.at, t.seq, idx});
+    }
+    lanes_pending_ += from.timers.size();
+  }
+  lanes_used_ = saved.lanes.size();
+  next_seq_ = saved.next_seq;
 }
 
 void EventQueue::clear() {
-  for (const Entry& e : heap_) {
-    if (e.idx != kNil) pool_->release(e.idx);
-  }
+  for (const Entry& e : heap_) pool_->release(e.idx);
   heap_.clear();
   for (size_t i = 0; i < lanes_used_; ++i) {
     Ring& fifo = lanes_[i].fifo;

@@ -43,7 +43,10 @@
 // whose cancelled actions simply did nothing. A handle names (lane, ticket,
 // epoch); every clear() — and so every restore_events() — starts a new
 // epoch, which makes older handles no-ops, as are handles whose timer
-// already popped or was already cancelled.
+// already popped or was already cancelled. A saved queue keeps each
+// tombstone in its lane as a bare (time, seq) key, and restore_events()
+// puts it back there, so a restored run pops it exactly where the saved
+// queue would have.
 //
 // Near-future one-shot events (the dense mass an open-loop arrival process
 // plus its per-hop network/processing events produce at mega-topology
@@ -216,29 +219,51 @@ class EventQueue {
   size_t wheel_size() const { return wheel_pending_; }
 
   // --- snapshot support (sim/snapshot.h) ---
-  // One pending event, flattened out of whichever structure held it. The
-  // action is a value copy: EventPool::Action is copyable, and the copy
-  // shares the shared_ptr-held request objects the original captured. A
-  // tombstone saves as an empty action and restores as a tombstone.
+  // Heap and wheel events save as (time, seq, copied action). The copy is a
+  // value: EventPool::Action is copyable, and the copy shares the
+  // shared_ptr-held request objects the original captured.
   struct SavedEvent {
     TimePoint at{};
     uint64_t seq = 0;
     Action action;
   };
+  // A lane timer saves as a compact key: `action` indexes
+  // SavedQueue::timer_actions, or is kNil for a tombstone, which carries no
+  // action at all.
+  struct SavedTimer {
+    TimePoint at{};
+    uint64_t seq = 0;
+    uint32_t action = EventPool::kNil;
+  };
+  // One timer lane: its delay and its FIFO, front first.
+  struct SavedLane {
+    Duration delay{};
+    std::vector<SavedTimer> timers;
+  };
+  // Every pending event plus the insertion sequence. Order within `events`
+  // is unspecified (the (at, seq) keys carry the schedule); `lanes` is the
+  // lane table in first-use order.
+  struct SavedQueue {
+    std::vector<SavedEvent> events;
+    std::vector<SavedLane> lanes;
+    std::vector<Action> timer_actions;  // live lane timers only
+    uint64_t next_seq = 0;
+  };
 
-  // Copies every pending event (heap + lanes + wheel) into `out`, leaving
-  // the queue untouched. Order within `out` is unspecified; the (at, seq)
-  // keys carry the schedule.
-  void save_events(std::vector<SavedEvent>* out) const;
+  // Copies every pending event into `out`, leaving the queue untouched.
+  void save_events(SavedQueue* out) const;
 
-  // Replaces the queue's contents with `events` (all into the heap — the
-  // wheel cursor and lane table restart cold, and placement never affects
-  // the (at, seq) pop order) and sets the insertion sequence, so events
-  // scheduled after the restore get the same seqs a cold run would assign.
-  void restore_events(const std::vector<SavedEvent>& events,
-                      uint64_t next_seq);
-
-  uint64_t next_seq() const { return next_seq_; }
+  // Replaces the queue's contents with `saved`. Heap and wheel events go
+  // into the heap (the wheel cursor restarts cold, and placement never
+  // affects the (at, seq) pop order). The lane table is rebuilt in place —
+  // same lanes in the same order with the same delays, each FIFO as saved
+  // and its ticket count at the restored length — so tombstones pop as
+  // no-ops from O(1) lanes, later timers append behind the restored ones,
+  // and lane assignment (the table-full fallback included) continues as in
+  // the saved queue. The insertion sequence is restored too, so events
+  // scheduled after the restore get the seqs a cold run would assign.
+  // Starts a new timer-handle epoch, like clear().
+  void restore_events(const SavedQueue& saved);
 
   // --- pool introspection (tests / benchmarks) ---
   size_t pool_capacity() const { return pool_->capacity(); }
@@ -256,8 +281,8 @@ class EventQueue {
  private:
   static constexpr uint32_t kNil = EventPool::kNil;
 
-  // One heap slot: sort key plus the pool index of the action; kNil marks a
-  // tombstone.
+  // One pending event (heap, lane or wheel): sort key plus the pool index of
+  // the action; kNil marks a tombstone, which only a lane holds.
   struct Entry {
     TimePoint at{};
     uint64_t seq = 0;
@@ -366,7 +391,6 @@ class EventQueue {
     wfree_ = idx;
   }
   void release_wheel_entries();
-  SavedEvent saved(const Entry& e) const;
 
   EventPool own_pool_;  // used only when no external pool was supplied
   EventPool* pool_;

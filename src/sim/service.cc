@@ -739,7 +739,6 @@ InstanceSnapshot ServiceInstance::capture_snapshot() const {
   snap.shared_waiters = shared_waiters_;
   snap.server_queue = server_queue_;
   snap.agent_records = agent_->snapshot_records();
-  snap.agent_recording = agent_->recording();
   return snap;
 }
 
@@ -751,12 +750,9 @@ void ServiceInstance::restore_snapshot(const InstanceSnapshot& snap,
   agent_->reset(seed);
   // reset() emptied the observation buffer, so an empty snapshot buffer
   // (always so when the prefix ran with capture off) needs neither a copy
-  // nor the agent's lock.
-  if (snap.agent_records.empty()) {
-    agent_->set_recording(snap.agent_recording);
-  } else {
-    agent_->restore_records(snap.agent_records, snap.agent_recording);
-  }
+  // nor the agent's lock. The capture switch is the simulation's
+  // (Simulation::restore).
+  if (!snap.agent_records.empty()) agent_->restore_records(snap.agent_records);
   // Breakers/bulkheads created after the snapshot (lazily, by a later
   // sibling) reset to the pristine state a cold run's lazily created ones
   // would start in; the first-N restore in place. Never shrink: DepInfo

@@ -61,14 +61,14 @@ class SimAgent : public topology::AgentHandle {
   // Snapshot support (sim/snapshot.h). A prefix run installs no rules, so
   // reset(seed) + restore_records() reproduces the agent exactly: the rule
   // engine is pristine both cold and restored, and only the observation
-  // buffer and capture switch carry state.
+  // buffer and capture switch carry state; the simulation restores the
+  // switch.
   logstore::RecordList snapshot_records() const {
     std::lock_guard lock(mu_);
     return records_;
   }
   // Copies into the live buffer, reusing its capacity.
-  void restore_records(const logstore::RecordList& records, bool recording) {
-    recording_ = recording;
+  void restore_records(const logstore::RecordList& records) {
     std::lock_guard lock(mu_);
     records_.assign(records.begin(), records.end());
   }

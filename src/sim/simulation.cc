@@ -106,8 +106,6 @@ void Simulation::reset(uint64_t seed) {
   events_processed_ = 0;
   config_.seed = seed;
   rng_ = Rng(seed);
-  log_store_.set_observer(nullptr);
-  log_store_.set_retention_limit(0);
   log_store_.clear();
   // Services added after the baseline (inject()'s lazily created edge
   // clients) are kept and reset in place rather than dropped. A retained

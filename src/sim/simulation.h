@@ -120,7 +120,8 @@ class Simulation {
   // Flips observation capture on every sidecar agent (current and lazily
   // added later). Off means the data plane never builds or buffers
   // LogRecords; fault injection is untouched. The runner uses this when no
-  // assertion of the run reads records. reset() restores capture to on.
+  // assertion of the run reads records. reset() restores capture to on;
+  // restore() takes it from the snapshot.
   void set_recording(bool on);
 
   // --- topology ---

@@ -33,8 +33,8 @@ SimSnapshot Simulation::snapshot() {
   snap.now = now_;
   snap.events_processed = events_processed_;
   snap.rng = rng_;
-  queue_.save_events(&snap.events);
-  snap.next_seq = queue_.next_seq();
+  queue_.save_events(&snap.queue);
+  snap.recording = recording_;
   snap.table = instance_table_;
   snap.services.reserve(services_.size());
   for (const auto& service : services_) {
@@ -48,18 +48,15 @@ SimSnapshot Simulation::snapshot() {
 }
 
 void Simulation::restore(const SimSnapshot& snap) {
-  queue_.restore_events(snap.events, snap.next_seq);
+  queue_.restore_events(snap.queue);
   stop_requested_ = false;
   now_ = snap.now;
   events_processed_ = snap.events_processed;
   config_.seed = snap.seed;
   rng_ = snap.rng;
-  // The store starts a restored run exactly as a cold run starts it: no
-  // observer, no retention cap, empty. A prefix run never appends to the
-  // store (the collector only drains at the end of a run), so attaching an
-  // observer post-restore is equivalent to attaching it at t=0.
-  log_store_.set_observer(nullptr);
-  log_store_.set_retention_limit(0);
+  // The store starts a restored run empty, as a cold run starts it: a
+  // prefix run never appends to the store (the collector only drains at the
+  // end of a run).
   log_store_.clear();
   instance_table_.restore_from(snap.table);
   for (size_t i = 0; i < services_.size(); ++i) {
@@ -71,7 +68,9 @@ void Simulation::restore(const SimSnapshot& snap) {
       services_[i]->reset(snap.seed);
     }
   }
-  recording_ = true;  // restore_snapshot reloaded the per-agent switches
+  // Every agent follows the simulation-wide capture switch, services added
+  // after the snapshot included.
+  set_recording(snap.recording);
   // Reload the mutable fields of every pinned request-path object: saved
   // event actions reference these same objects across every sibling.
   for (const ParticipantState& ps : snap.participants) {

@@ -8,14 +8,17 @@
 // before their window (pre-window matching touches no counters and no RNG),
 // so the world at `after - 1 tick` is byte-identical whether the rules are
 // armed or absent. Simulation::snapshot() freezes that world — virtual
-// clock, every pending event (heap, lanes, and wheel flatten into one
-// (time, seq)-keyed list; storage placement never affects pop order), the
-// RNG stream, the SoA instance table, per-instance breaker/bulkhead/queue
-// state, sidecar record buffers and rule-engine streams (pristine by
-// construction: no rules are installed during a prefix), and the packed
-// mutable fields of every live call object. Simulation::restore() rebuilds
-// it so a restored run is byte-identical — fingerprint() and
-// verdict_fingerprint() both — to a cold run reaching the same instant.
+// clock, every pending event (EventQueue::SavedQueue: heap and wheel events
+// as (time, seq, action), each timer lane as it stands, with its delay and
+// its FIFO of (time, seq) keys, where a cancelled timer's tombstone carries
+// no action), the RNG stream, the SoA instance table, per-instance
+// breaker/bulkhead/queue state, the observation capture switch, sidecar
+// record buffers (empty when the prefix ran with capture off) and
+// rule-engine streams (pristine by construction: no rules are installed
+// during a prefix), and the packed mutable fields of every live call
+// object. Simulation::restore() rebuilds it so a restored run is
+// byte-identical — fingerprint() and verdict_fingerprint() both — to a cold
+// run reaching the same instant.
 //
 // Event actions are copied by value (EventPool::Action is a copyable
 // InlineFunction); copies share the shared_ptr-held objects the originals
@@ -88,7 +91,6 @@ struct InstanceSnapshot {
   std::deque<std::function<void()>> shared_waiters;
   std::deque<std::function<void()>> server_queue;
   logstore::RecordList agent_records;
-  bool agent_recording = true;
 };
 
 struct ServiceSnapshot {
@@ -108,10 +110,11 @@ struct SimSnapshot {
   uint64_t events_processed = 0;
   Rng rng{0};
 
-  // Every pending event as (time, seq, copied action); restore reinserts
-  // them into the heap — wheel/lane placement is storage, never order.
-  std::vector<EventQueue::SavedEvent> events;
-  uint64_t next_seq = 0;
+  // Every pending event and the insertion sequence (see
+  // EventQueue::restore_events for where each one goes back).
+  EventQueue::SavedQueue queue;
+  // Simulation-wide capture switch; off when the prefix ran load-only.
+  bool recording = true;
 
   InstanceTable table;  // SoA hot scalars, copied wholesale
   std::vector<ServiceSnapshot> services;

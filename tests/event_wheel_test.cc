@@ -14,6 +14,9 @@
 // cancelled actions just do nothing. The cancellation fuzz replays seeded
 // programs with random cancels — many of them stale: the timer already
 // fired, or the queue was cleared or restored since — against that model.
+// Both fuzzes run a fixed seed range; a non-zero --gtest_random_seed shifts
+// the range to fresh seeds. Directed tests pin how a saved queue restores
+// its timer lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,6 +43,13 @@ struct Op {
 };
 
 constexpr int64_t kTimerDelays[] = {500, 1000, 5000, 100000};
+
+// First program seed of the fuzzes: 0, or a non-zero --gtest_random_seed
+// scaled past every range below, so distinct flags draw disjoint seeds.
+uint64_t first_seed() {
+  const int32_t flag = ::testing::GTEST_FLAG(random_seed);
+  return static_cast<uint64_t>(flag) << 20;
+}
 
 std::vector<Op> make_program(uint64_t seed, size_t length) {
   Rng rng(seed);
@@ -129,7 +139,7 @@ std::vector<Popped> replay_fresh(const std::vector<Op>& ops, bool wheel) {
 }
 
 TEST(EventWheelDifferentialTest, WheelMatchesHeapOver1000SeededSchedules) {
-  for (uint64_t seed = 0; seed < 1000; ++seed) {
+  for (uint64_t seed = first_seed(); seed < first_seed() + 1000; ++seed) {
     const std::vector<Op> ops = make_program(seed, 200);
     const std::vector<Popped> with_wheel = replay_fresh(ops, true);
     const std::vector<Popped> heap_only = replay_fresh(ops, false);
@@ -294,7 +304,7 @@ CancelTrace replay_cancels(EventQueue& queue, const std::vector<CancelOp>& ops,
   std::vector<Timer> timers;
   std::vector<bool> fired;  // by label; shared by restored action copies
   std::vector<bool> dead;
-  std::vector<EventQueue::SavedEvent> saved;
+  EventQueue::SavedQueue saved;
   uint64_t era = 0;
   TimePoint now{};
   int label = 0;
@@ -363,7 +373,7 @@ CancelTrace replay_cancels(EventQueue& queue, const std::vector<CancelOp>& ops,
         break;
       case CancelOp::kSaveRestore:
         queue.save_events(&saved);
-        queue.restore_events(saved, queue.next_seq());
+        queue.restore_events(saved);
         ++era;
         break;
     }
@@ -377,7 +387,7 @@ CancelTrace replay_cancels(EventQueue& queue, const std::vector<CancelOp>& ops,
 TEST(EventWheelDifferentialTest, CancelsMatchNoOpActionsOver300SeededSchedules) {
   size_t ran_cancelled = 0;
   CancelMix mix;
-  for (uint64_t seed = 0; seed < 300; ++seed) {
+  for (uint64_t seed = first_seed(); seed < first_seed() + 300; ++seed) {
     const std::vector<CancelOp> ops = make_cancel_program(seed, 200);
     EventQueue model;
     const CancelTrace expected = replay_cancels(model, ops, false, &mix);
@@ -474,14 +484,21 @@ TEST(EventWheelTest, SaveRestorePopsTombstonesAsNoOps) {
   }
   queue.cancel_timer(handles[1]);
   queue.cancel_timer(handles[2]);
-  std::vector<EventQueue::SavedEvent> saved;
+  EventQueue::SavedQueue saved;
   queue.save_events(&saved);
-  ASSERT_EQ(saved.size(), 4u);
-  size_t empty_actions = 0;
-  for (const auto& ev : saved) empty_actions += !ev.action;
-  EXPECT_EQ(empty_actions, 2u);
+  // The lane saves as it stands; tombstones are bare keys without actions.
+  EXPECT_TRUE(saved.events.empty());
+  ASSERT_EQ(saved.lanes.size(), 1u);
+  EXPECT_EQ(saved.lanes[0].delay, msec(10));
+  std::vector<uint32_t> actions;
+  for (const auto& timer : saved.lanes[0].timers) {
+    actions.push_back(timer.action);
+  }
+  EXPECT_EQ(actions, (std::vector<uint32_t>{0, EventPool::kNil,
+                                            EventPool::kNil, 1}));
+  EXPECT_EQ(saved.timer_actions.size(), 2u);
 
-  queue.restore_events(saved, queue.next_seq());
+  queue.restore_events(saved);
   EXPECT_EQ(queue.size(), 4u);
   EXPECT_EQ(queue.free_count(), queue.pool_capacity() - 2);
   EXPECT_EQ(queue.free_list_length(), queue.free_count());
@@ -492,6 +509,95 @@ TEST(EventWheelTest, SaveRestorePopsTombstonesAsNoOps) {
   EXPECT_EQ(clock, (std::vector<TimePoint>{msec(10), msec(11), msec(12),
                                            msec(13)}));
   EXPECT_EQ(queue.free_list_length(), queue.pool_capacity());
+}
+
+// What one run of lane_program() observed.
+struct LaneRun {
+  std::vector<int> ran;
+  std::vector<TimePoint> clock;
+  std::vector<EventQueue::TimerHandle> late;  // timers scheduled after
+  std::vector<size_t> saved_lane_sizes;       // restored runs only
+};
+
+// Three timer lanes with every other timer cancelled, plus one-shots. Once
+// the six one-shots have popped, the queue is saved and restored (when
+// `restore`); then timers with `late_delays` are scheduled from the current
+// clock, the first of them is cancelled, and the queue drains.
+LaneRun lane_program(bool restore, const std::vector<Duration>& late_delays) {
+  EventQueue queue;
+  LaneRun run;
+  int label = 0;
+  const auto action = [&run](int l) {
+    return [&run, l] { run.ran.push_back(l); };
+  };
+  std::vector<EventQueue::TimerHandle> early;
+  for (int i = 0; i < 6; ++i) {
+    const TimePoint now{msec(i)};
+    for (const Duration delay : {msec(10), msec(20), msec(30)}) {
+      early.push_back(
+          queue.schedule_timer(now + delay, delay, action(label++)));
+    }
+    queue.schedule_at(now + usec(500), action(label++));
+  }
+  for (size_t i = 0; i < early.size(); i += 2) queue.cancel_timer(early[i]);
+  for (int i = 0; i < 6; ++i) run.clock.push_back(queue.pop_and_run());
+  if (restore) {
+    EventQueue::SavedQueue saved;
+    queue.save_events(&saved);
+    for (const auto& lane : saved.lanes) {
+      run.saved_lane_sizes.push_back(lane.timers.size());
+    }
+    queue.restore_events(saved);
+  }
+  const TimePoint now = run.clock.back();
+  for (const Duration delay : late_delays) {
+    run.late.push_back(
+        queue.schedule_timer(now + delay, delay, action(label++)));
+  }
+  queue.cancel_timer(run.late.front());
+  while (!queue.empty()) run.clock.push_back(queue.pop_and_run());
+  EXPECT_EQ(queue.free_list_length(), queue.pool_capacity());
+  return run;
+}
+
+TEST(EventWheelTest, RestoredLaneTakesLaterTimersBehindItsEntries) {
+  const std::vector<Duration> late = {msec(20), msec(20), msec(10)};
+  const LaneRun fresh = lane_program(false, late);
+  const LaneRun restored = lane_program(true, late);
+  ASSERT_EQ(restored.saved_lane_sizes, (std::vector<size_t>{6, 6, 6}));
+  // The 20 ms timers join the restored 20 ms lane behind its six entries,
+  // and the first of them, cancelled there, pops as a tombstone.
+  ASSERT_EQ(restored.late.size(), 3u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(restored.late[i].lane, 1u);
+    EXPECT_EQ(restored.late[i].ticket, 6u + i);
+  }
+  EXPECT_EQ(restored.late[2].lane, 0u);
+  EXPECT_EQ(restored.late[2].ticket, 6u);
+  for (size_t i = 0; i < late.size(); ++i) {
+    EXPECT_EQ(restored.late[i].lane, fresh.late[i].lane);
+  }
+  EXPECT_EQ(restored.clock, fresh.clock);
+  EXPECT_EQ(restored.ran, fresh.ran);
+}
+
+TEST(EventWheelTest, RestoredLaneTableFallsBackToTheHeapWhenFull) {
+  // Eight new delays on top of the three restored lanes overflow the
+  // eight-lane table after five, exactly as they do in the unrestored queue.
+  std::vector<Duration> late;
+  for (int i = 0; i < 8; ++i) late.push_back(msec(40 + i));
+  const LaneRun fresh = lane_program(false, late);
+  const LaneRun restored = lane_program(true, late);
+  std::vector<bool> fell_back;
+  for (const auto& handle : restored.late) fell_back.push_back(handle.empty());
+  EXPECT_EQ(fell_back, (std::vector<bool>{false, false, false, false, false,
+                                          true, true, true}));
+  for (size_t i = 0; i < late.size(); ++i) {
+    EXPECT_EQ(restored.late[i].empty(), fresh.late[i].empty());
+    EXPECT_EQ(restored.late[i].lane, fresh.late[i].lane);
+  }
+  EXPECT_EQ(restored.clock, fresh.clock);
+  EXPECT_EQ(restored.ran, fresh.ran);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 // --gtest_random_seed when it is non-zero, else from a fixed seed.
 //
 // Also covered: IncrementalCombine vs Combine::evaluate, sticky early
-// verdicts, bounded log retention, early-exit vs full-run experiment
+// verdicts, early-exit vs full-run experiment
 // equivalence (verdict fingerprints and failure signatures), the engine's
 // verdicts against the oracle over a preserved log, and event-pool
 // reclamation after an early-terminated run. tests/differential_test.cc
@@ -342,58 +342,6 @@ TEST(FailureSignatureTest, SortsAndDedupsFailedCheckNames) {
             "HasTimeouts(b) + MaxUserFailures(0)");
 }
 
-// --- bounded retention -------------------------------------------------------
-
-TEST(RetentionTest, ObserverSeesEveryRecordAndRetentionBoundsTheStore) {
-  logstore::LogStore store;
-  size_t observed = 0;
-  store.set_observer([&observed](const LogRecord&) { ++observed; });
-  store.set_retention_limit(100);
-  for (int i = 0; i < 1000; ++i) {
-    LogRecord r;
-    r.timestamp = TimePoint{usec(i * 10)};
-    r.request_id = "test-" + std::to_string(i);
-    r.src = (i % 2 == 0) ? "a" : "b";
-    r.dst = "c";
-    r.kind = MessageKind::kRequest;
-    store.append(std::move(r));
-  }
-  // The observer fires for every append, before eviction — no record is
-  // dropped unseen.
-  EXPECT_EQ(observed, 1000u);
-  EXPECT_LE(store.size(), 100u);
-  EXPECT_EQ(store.dropped() + store.size(), 1000u);
-}
-
-TEST(RetentionTest, EvictionKeepsIndexedQueriesConsistent) {
-  logstore::LogStore store;
-  store.set_retention_limit(64);
-  for (int i = 0; i < 500; ++i) {
-    LogRecord r;
-    r.timestamp = TimePoint{usec(i * 10)};
-    r.request_id = "test-" + std::to_string(i);
-    r.src = "a";
-    r.dst = (i % 2 == 0) ? "b" : "c";
-    r.kind = MessageKind::kRequest;
-    store.append(std::move(r));
-  }
-  // Edge-indexed queries agree with a brute-force scan of what survived.
-  const RecordList survivors = store.all();
-  size_t to_b = 0;
-  for (const auto& r : survivors) {
-    if (r.dst == "b") ++to_b;
-  }
-  EXPECT_EQ(store.get_requests("a", "b").size(), to_b);
-  // Evicted flows answer empty instead of stale positions.
-  logstore::Query q;
-  q.id_pattern = "test-0";
-  EXPECT_TRUE(store.query(q).empty());
-  // Retained flows are still found by exact ID.
-  logstore::Query tail;
-  tail.id_pattern = survivors.back().request_id;
-  EXPECT_EQ(store.query(tail).size(), 1u);
-}
-
 // --- experiment-level early exit ---------------------------------------------
 
 control::LoadOptions small_load() {
@@ -551,7 +499,7 @@ TEST(EarlyExitTest, FailingRunsProcessFewerEvents) {
 }
 
 TEST(EarlyExitTest, RecordCheckPanelAgreesBetweenModes) {
-  // A mixed panel streams records (store observer + retention):
+  // A mixed panel streams the collector's record batches into its checks:
   // verdicts must still agree with the full run.
   for (const char* fault : {"svc2", "svc5"}) {
     Experiment e;

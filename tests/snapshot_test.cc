@@ -184,6 +184,59 @@ TEST(SnapshotCacheTest, RecordingPrefixRestoresItsObservations) {
   }
 }
 
+TEST(SnapshotCacheTest, LoadOnlyAndRecordPanelsKeepSeparatePrefixes) {
+  // Two siblings with one seed, load and window but different panels: the
+  // load-only panel reads no records, so its prefix runs with capture off;
+  // the record panel's prefix keeps capture on. Each gets its own cache
+  // entry, in either order, and every run matches cold byte for byte.
+  Experiment load_only = windowed_abort(msec(62));
+  load_only.checks = {CheckSpec::max_user_failures(0)};
+  Experiment records = load_only;
+  records.checks = {CheckSpec::error_rate_below("serviceA", "serviceB", 0.5),
+                    CheckSpec::has_timeouts("serviceA", msec(100)),
+                    CheckSpec::max_user_failures(0)};
+  for (const bool early_exit : {false, true}) {
+    ExecOptions exec;
+    exec.early_exit = early_exit;
+    const ExperimentResult cold_load = CampaignRunner::run_one(load_only, exec);
+    const ExperimentResult cold_records =
+        CampaignRunner::run_one(records, exec);
+    for (const bool load_first : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "early_exit " << early_exit
+                                      << " load_first " << load_first);
+      WarmWorld world(load_only.app);
+      const std::vector<const Experiment*> order =
+          load_first ? std::vector<const Experiment*>{&load_only, &records}
+                     : std::vector<const Experiment*>{&records, &load_only};
+      // The first round builds both prefixes, the second restores them.
+      for (const int path : {1, 2}) {
+        for (const Experiment* e : order) {
+          const ExperimentResult& cold =
+              e == &load_only ? cold_load : cold_records;
+          const ExperimentResult r = world.run(*e, exec);
+          EXPECT_EQ(r.snapshot_path, path);
+          EXPECT_EQ(r.fingerprint(), cold.fingerprint());
+          EXPECT_EQ(r.verdict_fingerprint(), cold.verdict_fingerprint());
+          if (e != &load_only || path != 2) continue;
+          // The load-only prefix captured nothing, so its restore left no
+          // prefix records in any agent.
+          sim::Simulation* sim = world.simulation();
+          for (size_t i = 0; i < sim->service_count(); ++i) {
+            sim::SimService* svc =
+                sim->service_by_index(static_cast<int32_t>(i));
+            for (size_t j = 0; j < svc->instance_count(); ++j) {
+              EXPECT_EQ(svc->instance(j).agent()->buffered_records(), 0u)
+                  << svc->name();
+            }
+          }
+        }
+      }
+      EXPECT_EQ(world.snapshots().misses(), 2u);
+      EXPECT_EQ(world.snapshots().hits(), 2u);
+    }
+  }
+}
+
 TEST(SnapshotCacheTest, ImmediateFaultsDegradeToWarmPath) {
   // after == 0 means no sharable fault-free prefix: the run takes the
   // normal warm path (snapshot_path == 0) and stays byte-identical.

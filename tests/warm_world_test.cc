@@ -217,7 +217,6 @@ TEST(ResetHygieneTest, ResetRestoresColdStartState) {
   // LogStore: empty, with interned service names still resolvable (the
   // symbol table is process-global and survives by design).
   EXPECT_EQ(sim->log_store().size(), 0u);
-  EXPECT_EQ(sim->log_store().dropped(), 0u);
   EXPECT_TRUE(SymbolTable::global().find("serviceA").has_value());
 
   // The lazily created edge client survives the reset — rebuilt clients
